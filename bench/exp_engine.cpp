@@ -288,6 +288,101 @@ std::string collapseGrid(bool* identical, int reps) {
   return obj.str();
 }
 
+/// Cold query: a FRESH engine per rep, pinned to threads=1, streaming the
+/// registry's 64 x 64 linearsearch-16x64 grid on inorder-lru — what a first
+/// query, every grid shard and every trace-store miss pays.  Each rep
+/// builds its engine inside the timed region, so an empty trace store
+/// resolves every input (functional run, fingerprint, one compile per trace
+/// class) before the replay; the model is built once outside it.  Each
+/// rep's accumulator is asserted identical to a warm engine's, and the
+/// warm ns/cell is recorded beside the cold one.
+std::string coldGrid(bool* identical, int reps) {
+  constexpr int kStates = 64;
+  const std::string platform = "inorder-lru";
+  const std::string workload = "linearsearch-16x64";
+  bench::printHeader("Cold query",
+                     "64 x 64 grid on a fresh threads=1 engine per rep");
+  const auto w = study::WorkloadRegistry::instance().make(workload);
+  exp::PlatformOptions opts;
+  opts.numStates = kStates;
+  const auto model =
+      exp::PlatformRegistry::instance().make(platform, w.program, opts);
+  exp::EngineConfig cfg;
+  cfg.threads = 1;
+
+  exp::ExperimentEngine warm(cfg);
+  const auto reference = warm.reduceCells(*model, w.program, w.inputs);
+  bool same = true;
+  double bestNs = 0;
+  obs::RunReport bestReport;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    exp::ExperimentEngine cold(cfg);
+    const auto acc = cold.reduceCells(*model, w.program, w.inputs);
+    const auto t1 = std::chrono::steady_clock::now();
+    same = same && acc.identicalTo(reference);
+    const double ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+    if (r == 0 || ns < bestNs) {
+      bestNs = ns;
+      bestReport = cold.report();
+    }
+  }
+  *identical = same;
+  const double cells =
+      static_cast<double>(kStates) * static_cast<double>(w.inputs.size());
+  const double coldNs = bestNs / cells;
+  const double warmNs = bestOfNs(reps, [&] {
+                          benchmark::DoNotOptimize(
+                              warm.reduceCells(*model, w.program, w.inputs)
+                                  .wcet());
+                        }) /
+                        cells;
+  const auto phaseNs = [&](const std::string& name) {
+    const auto it = bestReport.phases.find(name);
+    return it == bestReport.phases.end() ? std::uint64_t{0}
+                                         : it->second.totalNs;
+  };
+
+  char buf[64];
+  bench::printKV("cold == warm (bit-identical)", same ? "yes" : "NO (BUG)");
+  bench::printKV("trace classes / compiles among 64 inputs",
+                 std::to_string(bestReport.counter("trace_store.classes")) +
+                     " / " +
+                     std::to_string(bestReport.counter(
+                         "trace_store.compiles")));
+  std::snprintf(buf, sizeof buf, "%.1f", coldNs);
+  bench::printKV("cold ns/cell (threads=1)", buf);
+  std::snprintf(buf, sizeof buf, "%.1f", warmNs);
+  bench::printKV("warm ns/cell (threads=1)", buf);
+  std::snprintf(buf, sizeof buf, "%.2fx", coldNs / warmNs);
+  bench::printKV("cold vs warm", buf);
+
+  bench::JsonObject gridShape;
+  gridShape.field("states", kStates)
+      .field("inputs", static_cast<int>(w.inputs.size()));
+  bench::JsonObject cellsNs;
+  cellsNs.field("cold", coldNs).field("warm", warmNs);
+  // Phase split of the fastest cold rep, from the engine's own report.
+  bench::JsonObject phases;
+  phases.field("resolve_ns", phaseNs("resolve"))
+      .field("replay_ns", phaseNs("replay.packed"))
+      .field("merge_ns", phaseNs("reduce.merge"));
+  bench::JsonObject obj;
+  obj.field("workload", workload)
+      .field("platform", platform)
+      .field("threads", cfg.threads)
+      .rawField("grid", gridShape.str())
+      .field("trace_classes", bestReport.counter("trace_store.classes"))
+      .field("compiles", bestReport.counter("trace_store.compiles"))
+      .rawField("bit_identical", same ? "true" : "false")
+      .rawField("ns_per_cell", cellsNs.str())
+      .field("cold_vs_warm", coldNs / warmNs)
+      .rawField("phases", phases.str());
+  return obj.str();
+}
+
 /// Sharded-throughput grid: the work-stealing scheduler (src/grid/) runs
 /// an 8-shard 64 x 64 grid at K ∈ {1, 2, 4, 8} stealing workers through
 /// the registry-resolving evaluator — the same fan-out an in-process
@@ -466,6 +561,8 @@ void perfGrid(const char* argv0) {
   const std::string attached = attachedThroughputGrid(&attachedIdentical);
   bool collapseIdentical = false;
   const std::string collapse = collapseGrid(&collapseIdentical, reps);
+  bool coldIdentical = false;
+  const std::string cold = coldGrid(&coldIdentical, 4 * reps);
 
   // Default the artifact NEXT TO THE BINARY (the build directory), not the
   // cwd: smoke runs launched from the repo root used to litter it with
@@ -487,16 +584,19 @@ void perfGrid(const char* argv0) {
   bench::JsonObject root;
   root.field("bench", std::string("exhaustive"))
       .field("threads", exp::ExperimentEngine().resolvedThreads())
+      .field("cores", static_cast<int>(std::thread::hardware_concurrency()))
       .rawField("metrics_enabled", obs::compiledIn() ? "true" : "false")
       .rawField("bit_identical",
                 inorder.identical && ooo.identical && shardedIdentical &&
-                        attachedIdentical && collapseIdentical
+                        attachedIdentical && collapseIdentical &&
+                        coldIdentical
                     ? "true"
                     : "false")
       .rawField("grids", grids.str())
       .rawField("sharded", sharded)
       .rawField("attached", attached)
-      .rawField("collapse", collapse);
+      .rawField("collapse", collapse)
+      .rawField("cold", cold);
   if (bench::writeTextFile(path, root.str())) {
     bench::printKV("json artifact", path);
   }

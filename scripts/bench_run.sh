@@ -32,7 +32,13 @@
 #               trace classes as inputs (collapse enabled but inert),
 #               beats the uncollapsed path by less than
 #               collapse.min_speedup, or exceeds PERF_SMOKE_FACTOR x
-#               collapse.collapsed_ns_per_cell.
+#               collapse.collapsed_ns_per_cell, or
+#             * the cold-query grid (a fresh threads=1 engine per rep, so
+#               every rep resolves all 64 inputs) is missing, ran at any
+#               thread count other than 1, is not bit-identical to a warm
+#               engine, lowers more ReplayPrograms than it has trace
+#               classes, or exceeds PERF_SMOKE_FACTOR x
+#               cold.cold_ns_per_cell.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -169,6 +175,34 @@ else:
     print(f"collapse: collapsed ns/cell: {ns:.1f} (limit {limit:.1f})")
     if ns > limit:
         print("FAIL: collapsed ns/cell regressed past the baseline limit")
+        failed = True
+
+cold = measured.get("cold")
+if cold is None:
+    print("FAIL: cold-query grid missing from the bench JSON")
+    failed = True
+else:
+    print(f"cold: threads={cold['threads']} on {measured.get('cores')} "
+          "cores")
+    if cold["threads"] != 1:
+        print("FAIL: cold: the gate's baseline pins threads=1")
+        failed = True
+    if not cold.get("bit_identical", False):
+        print("FAIL: cold: fresh-engine accumulator differs from the warm "
+              "engine's")
+        failed = True
+    print(f"cold: {cold['compiles']} compiles for {cold['trace_classes']} "
+          "trace classes")
+    if cold["compiles"] > cold["trace_classes"]:
+        print("FAIL: cold: the trace store lowers more than once per class")
+        failed = True
+    ns = cold["ns_per_cell"]["cold"]
+    limit = baseline["cold"]["cold_ns_per_cell"] * factor
+    print(f"cold: ns/cell: {ns:.1f} (limit {limit:.1f} = "
+          f"{baseline['cold']['cold_ns_per_cell']} baseline x {factor}; "
+          f"warm {cold['ns_per_cell']['warm']:.1f})")
+    if ns > limit:
+        print("FAIL: cold ns/cell regressed past the baseline limit")
         failed = True
 
 sys.exit(1 if failed else 0)

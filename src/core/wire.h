@@ -5,8 +5,8 @@
 // how they reject malformed input: every failure is a std::invalid_argument
 // with the caller's context and the offending field — never UB.
 
+#include <charconv>
 #include <istream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -28,22 +28,25 @@ inline std::string nextToken(std::istream& in, const std::string& context,
   return tok;
 }
 
-/// One whitespace-separated number, fully consumed; junk, overflow (via
-/// the stream extraction of T), and a leading '-' on unsigned targets all
-/// fail with the field name.
+/// One whitespace-separated integer, fully consumed: decimal digits with at
+/// most one leading sign ('+' always, '-' only on signed targets).  Junk,
+/// overflow of T, and a '-' on an unsigned target all fail with the field
+/// name.
 template <typename T>
 T nextNumber(std::istream& in, const std::string& context,
              const std::string& field) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool> &&
+                    sizeof(T) > 1,
+                "nextNumber parses multi-byte integers only");
   const std::string tok = nextToken(in, context, field);
+  const char* first = tok.data();
+  const char* const last = first + tok.size();
+  // from_chars takes no '+'; skip one, unless a second sign follows it.
+  if (last - first > 1 && *first == '+' && first[1] != '-') ++first;
   T value{};
-  std::istringstream num(tok);
-  if (!(num >> value) || !(num >> std::ws).eof()) {
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || end != last) {
     fail(context, "malformed " + field + ": '" + tok + "'");
-  }
-  if constexpr (!std::is_signed_v<T>) {
-    if (tok.front() == '-') {
-      fail(context, "malformed " + field + ": '" + tok + "'");
-    }
   }
   return value;
 }

@@ -101,6 +101,7 @@ obs::RunReport ExperimentEngine::report() const {
       static_cast<std::uint64_t>(store_.size());
   r.counters["trace_store.classes"] =
       static_cast<std::uint64_t>(store_.classCount());
+  r.counters["trace_store.compiles"] = store_.compiles();
   return r;
 }
 

@@ -36,8 +36,9 @@
 // walk by construction.
 //
 // The engine owns a TraceStore (trace_store.h) so the functional trace of
-// each input — and its compiled replay form — is computed once and replayed
-// across all hardware states and across every matrix the engine computes.
+// each input is computed once, and the compiled replay form of each trace
+// class once, then replayed across all hardware states and across every
+// matrix the engine computes.
 
 #include <cstddef>
 #include <cstdint>
@@ -178,8 +179,9 @@ class ExperimentEngine {
   /// Per-worker pool utilization collected by this engine's grid walks.
   const obs::WorkerUtil& workerUtil() const { return util_; }
   /// Cumulative snapshot of everything observed so far: registry counters
-  /// and phases, worker utilization, and the trace store's hit/miss/entry
-  /// counts (exported as "trace_store.{hits,misses,entries}" counters).
+  /// and phases, worker utilization, and the trace store's hit/miss,
+  /// entry, class and compile counts (exported as
+  /// "trace_store.{hits,misses,entries,classes,compiles}" counters).
   obs::RunReport report() const;
 
  private:

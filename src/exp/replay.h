@@ -26,8 +26,9 @@
 // Lowering is exact, not approximate: for every InOrderConfig, predictor,
 // and cache snapshot, the compiled replay is bit-identical to
 // InOrderPipeline::run over the original trace (asserted cell-for-cell in
-// tests/replay_test.cpp).  TraceStore caches the compiled form next to the
-// memoized trace, so each input is lowered once per process.
+// tests/replay_test.cpp).  TraceStore caches the compiled form on the
+// trace-equivalence class that owns the memoized trace, so each distinct
+// trace is lowered once per store, however many inputs share it.
 
 #include <cstdint>
 #include <vector>

@@ -8,14 +8,38 @@ namespace pred::exp {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+/// Odd multiplier of the word mixer (the first fmix64 constant).
+constexpr std::uint64_t kMixMul = 0xff51afd7ed558ccdULL;
+constexpr std::uint64_t kMixSeed = 0x9e3779b97f4a7c15ULL;
 
-void fnvMix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffULL;
-    h *= kFnvPrime;
-  }
+/// One mixing step: xor a whole word in, multiply, fold the high half down
+/// so the next multiply carries it into the low bits.  For a fixed word the
+/// step is a bijection of the state, and for a fixed state a bijection of
+/// the word — so inputs that differ in exactly one word never collide.
+void mixWord(std::uint64_t& h, std::uint64_t w) {
+  h = (h ^ w) * kMixMul;
+  h ^= h >> 32;
+}
+
+/// Two 32-bit fields side by side in one word.
+std::uint64_t pack32(std::int32_t lo, std::uint32_t hi) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) |
+         (static_cast<std::uint64_t>(hi) << 32);
+}
+
+/// A decoded instruction in one word: op, rd, rs1, rs2 in the low four
+/// bytes, imm in the high half — no field overlaps another.
+std::uint64_t packInstr(const isa::Instr& ins) {
+  static_assert(sizeof(isa::Op) == 1 && sizeof(ins.rd) == 1 &&
+                    sizeof(ins.rs1) == 1 && sizeof(ins.rs2) == 1 &&
+                    sizeof(ins.imm) == 4,
+                "packInstr assumes byte-wide op/registers and a 32-bit imm");
+  return static_cast<std::uint64_t>(static_cast<std::uint8_t>(ins.op)) |
+         (static_cast<std::uint64_t>(ins.rd) << 8) |
+         (static_cast<std::uint64_t>(ins.rs1) << 16) |
+         (static_cast<std::uint64_t>(ins.rs2) << 24) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ins.imm))
+          << 32);
 }
 
 /// Canonical key of one (program, input) pair.
@@ -31,12 +55,6 @@ std::string keyOf(const isa::Program& program, const isa::Input& input) {
   return key;
 }
 
-std::uint64_t packedFields(const isa::Instr& ins) {
-  return (static_cast<std::uint64_t>(ins.rd) << 16) |
-         (static_cast<std::uint64_t>(ins.rs1) << 8) |
-         static_cast<std::uint64_t>(ins.rs2);
-}
-
 bool sameInstr(const isa::Instr& a, const isa::Instr& b) {
   return a.op == b.op && a.rd == b.rd && a.rs1 == b.rs1 && a.rs2 == b.rs2 &&
          a.imm == b.imm;
@@ -45,39 +63,27 @@ bool sameInstr(const isa::Instr& a, const isa::Instr& b) {
 }  // namespace
 
 std::uint64_t programFingerprint(const isa::Program& program) {
-  std::uint64_t h = kFnvOffset;
-  for (const auto& ins : program.code) {
-    fnvMix(h, static_cast<std::uint64_t>(ins.op));
-    fnvMix(h, packedFields(ins));
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(ins.imm)));
-  }
+  std::uint64_t h = kMixSeed;
+  mixWord(h, static_cast<std::uint64_t>(program.code.size()));
+  for (const auto& ins : program.code) mixWord(h, packInstr(ins));
   // The whole layout, not just memWords: the bases steer the DataRegion
   // classification (split caches) and memWords steers address wrapping, so
   // any layout difference can change timing or even the trace itself.
-  fnvMix(h, static_cast<std::uint64_t>(program.layout.staticBase));
-  fnvMix(h, static_cast<std::uint64_t>(program.layout.stackBase));
-  fnvMix(h, static_cast<std::uint64_t>(program.layout.heapBase));
-  fnvMix(h, static_cast<std::uint64_t>(program.layout.memWords));
+  mixWord(h, static_cast<std::uint64_t>(program.layout.staticBase));
+  mixWord(h, static_cast<std::uint64_t>(program.layout.stackBase));
+  mixWord(h, static_cast<std::uint64_t>(program.layout.heapBase));
+  mixWord(h, static_cast<std::uint64_t>(program.layout.memWords));
   return h;
 }
 
 std::uint64_t traceFingerprint(const isa::Trace& trace) {
-  std::uint64_t h = kFnvOffset;
-  fnvMix(h, static_cast<std::uint64_t>(trace.size()));
+  std::uint64_t h = kMixSeed;
+  mixWord(h, static_cast<std::uint64_t>(trace.size()));
   for (const auto& rec : trace) {
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.pc)));
-    fnvMix(h, static_cast<std::uint64_t>(rec.instr.op));
-    fnvMix(h, packedFields(rec.instr));
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.instr.imm)));
-    fnvMix(h, rec.branchTaken ? 1u : 0u);
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.nextPc)));
-    fnvMix(h, static_cast<std::uint64_t>(rec.memWordAddr));
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.extraLatency)));
+    mixWord(h, pack32(rec.pc, static_cast<std::uint32_t>(rec.nextPc)));
+    mixWord(h, packInstr(rec.instr));
+    mixWord(h, pack32(rec.extraLatency, rec.branchTaken ? 1u : 0u));
+    mixWord(h, static_cast<std::uint64_t>(rec.memWordAddr));
   }
   return h;
 }
@@ -101,110 +107,71 @@ TraceStore::Bucket& TraceStore::bucketFor(const std::string& key) {
   return buckets_[std::hash<std::string>{}(key) & (kNumBuckets - 1)];
 }
 
-std::uint32_t TraceStore::classFor(const isa::Trace& trace) {
+TraceStore::TraceClass& TraceStore::internClass(isa::Trace&& trace) {
   const std::uint64_t fp = traceFingerprint(trace);
   std::lock_guard<std::mutex> lock(classMu_);
-  auto& classes = classesByFingerprint_[fp];
-  for (const auto& [id, rep] : classes) {
-    if (tracesIdentical(*rep, trace)) return id;
+  auto& sameFp = classesByFingerprint_[fp];
+  for (TraceClass* cls : sameFp) {
+    if (tracesIdentical(cls->trace, trace)) return *cls;
   }
-  const std::uint32_t id = nextClassId_++;
-  classes.emplace_back(id, &trace);
-  return id;
+  auto fresh = std::make_unique<TraceClass>();
+  fresh->trace = std::move(trace);
+  fresh->id = static_cast<std::uint32_t>(classes_.size());
+  sameFp.push_back(fresh.get());
+  classes_.push_back(std::move(fresh));
+  return *classes_.back();
 }
 
-TraceStore::Entry& TraceStore::entryFor(const isa::Program& program,
-                                        const isa::Input& input,
-                                        const std::string& key) {
+TraceStore::TraceClass& TraceStore::classOf(const isa::Program& program,
+                                            const isa::Input& input) {
+  const std::string key = keyOf(program, input);
   Bucket& bucket = bucketFor(key);
   {
     std::lock_guard<std::mutex> lock(bucket.mu);
-    auto it = bucket.entries.find(key);
+    const auto it = bucket.entries.find(key);
     if (it != bucket.entries.end()) {
       hits_.add();
       return *it->second;
     }
   }
-  // Run outside the lock: functional execution dominates, and concurrent
-  // misses on the same key are harmless (the first insert wins and the
-  // traces are equal anyway).
+  // Run and intern outside the bucket lock: functional execution dominates,
+  // and concurrent misses on the same key are harmless (their traces are
+  // equal, so both intern to the same class and either insert is right).
   auto run = isa::FunctionalCore::run(program, input);
   if (!run.completed) {
     throw std::runtime_error("program did not halt for input " + input.name);
   }
-  auto entry = std::make_unique<Entry>();
-  entry->trace = std::move(run.trace);
+  TraceClass& cls = internClass(std::move(run.trace));
   std::lock_guard<std::mutex> lock(bucket.mu);
-  auto [it, inserted] = bucket.entries.try_emplace(key, std::move(entry));
+  const auto [it, inserted] = bucket.entries.try_emplace(key, &cls);
   // A lost race counts as a hit: the store already had the trace.
   (inserted ? misses_ : hits_).add();
-  if (inserted) {
-    // Class assignment happens AFTER the insert race resolves, on the
-    // surviving entry, so the class table only ever holds representative
-    // pointers into published (never-destroyed) entries.  Lock order is
-    // bucket.mu -> classMu_, everywhere.
-    it->second->classId = classFor(it->second->trace);
-  }
   return *it->second;
+}
+
+const ReplayProgram& TraceStore::compiledOf(TraceClass& cls) {
+  std::call_once(cls.compileOnce, [&] {
+    cls.compiled = compileTrace(cls.trace);
+    compiles_.add();
+  });
+  return cls.compiled;
 }
 
 const isa::Trace& TraceStore::traceFor(const isa::Program& program,
                                        const isa::Input& input) {
-  return entryFor(program, input, keyOf(program, input)).trace;
+  return classOf(program, input).trace;
 }
 
 TraceStore::TraceRef TraceStore::traceRefFor(const isa::Program& program,
                                              const isa::Input& input) {
-  const Entry& entry = entryFor(program, input, keyOf(program, input));
-  return TraceRef{&entry.trace, entry.classId};
+  const TraceClass& cls = classOf(program, input);
+  return TraceRef{&cls.trace, cls.id};
 }
 
 TraceStore::EntryRef TraceStore::entryRefFor(const isa::Program& program,
                                              const isa::Input& input) {
-  const std::string key = keyOf(program, input);
-  Bucket& bucket = bucketFor(key);
-  Entry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(bucket.mu);
-    auto it = bucket.entries.find(key);
-    if (it != bucket.entries.end()) {
-      hits_.add();
-      entry = it->second.get();
-      if (entry->compiled) {
-        // The steady-state path: one hash, one lock, both forms.
-        return EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
-      }
-    }
-  }
-  if (entry == nullptr) {
-    // Trace and lowering both happen outside the lock; concurrent misses on
-    // the same key are harmless (the first insert wins, the forms are
-    // equal).
-    auto run = isa::FunctionalCore::run(program, input);
-    if (!run.completed) {
-      throw std::runtime_error("program did not halt for input " + input.name);
-    }
-    auto fresh = std::make_unique<Entry>();
-    fresh->trace = std::move(run.trace);
-    fresh->compiled =
-        std::make_unique<ReplayProgram>(compileTrace(fresh->trace));
-    std::lock_guard<std::mutex> lock(bucket.mu);
-    auto [it, inserted] = bucket.entries.try_emplace(key, std::move(fresh));
-    (inserted ? misses_ : hits_).add();
-    entry = it->second.get();
-    if (inserted) {
-      entry->classId = classFor(entry->trace);
-    }
-    if (entry->compiled) {
-      return EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
-    }
-    // Lost the race against a traceFor() insert that carries no compiled
-    // form yet — lower the winner's trace below.
-  }
-  auto compiled = std::make_unique<ReplayProgram>(compileTrace(entry->trace));
-  std::lock_guard<std::mutex> lock(bucket.mu);
-  if (!entry->compiled) entry->compiled = std::move(compiled);
-  return EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
+  TraceClass& cls = classOf(program, input);
+  return EntryRef{&cls.trace, &compiledOf(cls), cls.id};
 }
 
 const ReplayProgram& TraceStore::compiledFor(const isa::Program& program,
@@ -231,12 +198,11 @@ std::size_t TraceStore::size() const {
 
 std::size_t TraceStore::classCount() const {
   std::lock_guard<std::mutex> lock(classMu_);
-  return static_cast<std::size_t>(nextClassId_);
+  return classes_.size();
 }
 
 void TraceStore::clear() {
-  // Bucket locks first, then the class table, matching the
-  // bucket.mu -> classMu_ order used on the insert path.
+  // Entries first: they point into the classes.
   for (auto& bucket : buckets_) {
     std::lock_guard<std::mutex> lock(bucket.mu);
     bucket.entries.clear();
@@ -244,10 +210,11 @@ void TraceStore::clear() {
   {
     std::lock_guard<std::mutex> lock(classMu_);
     classesByFingerprint_.clear();
-    nextClassId_ = 0;
+    classes_.clear();
   }
   hits_.reset();
   misses_.reset();
+  compiles_.reset();
 }
 
 }  // namespace pred::exp

@@ -9,30 +9,33 @@
 // trace for each (program, input) pair exactly once and shares it across
 // every hardware state, platform, and scenario that replays it — the
 // "shared precomputed structure" idea applied to Definition 2's inner loop.
-// The compiled ReplayProgram (exp/replay.h) of each trace is cached next to
-// it, lazily, so the packed replay kernels also lower each input once.
 //
 // Keys are content fingerprints (program code + full memory layout + input
 // bindings), not object addresses, so two structurally identical programs
 // share entries and the store stays valid however long callers keep it
 // around.  All methods are thread-safe; returned trace/compiled pointers
-// are stable for the store's lifetime.  Internally the map is sharded into
-// kNumBuckets independently locked buckets keyed by the fingerprint hash,
+// are stable for the store's lifetime.  Internally the key map is sharded
+// into kNumBuckets independently locked buckets keyed by the key's hash,
 // so a wide worker pool filling the store does not serialize on one mutex.
 //
 // Trace-equivalence classes: distinct inputs frequently lower to the SAME
 // functional trace (duplicated inputs, permutations the program never
 // observes, values that steer no branch).  Since T(q, i) is a function of
 // the trace alone, such inputs are timing-indistinguishable on every
-// platform — so the store assigns every entry a class id: entries whose
-// traces are identical record-for-record share one id, stable for the
-// store's lifetime (clear() resets the numbering along with everything
-// else).  Ids are grouped by trace content fingerprint and then CONFIRMED
-// by exact record-for-record comparison, so a hash collision can only
-// split a class (harmless), never merge two distinct traces (which would
-// corrupt results).  The ExperimentEngine uses the ids to evaluate each
-// class once per hardware state and fan the result out to all member
-// inputs (EngineConfig::collapseTraceClasses).
+// platform.  The store is therefore organized around classes: a class owns
+// one trace and its lazily lowered ReplayProgram (exp/replay.h), and each
+// store entry maps a key to its class.  A freshly run trace that matches an
+// existing class record-for-record is dropped, and the entry points at the
+// class representative — so every member of a class gets the SAME trace
+// and compiled pointers, and each class is lowered exactly once however
+// many inputs share it.  Class ids are dense, stable for the store's
+// lifetime (clear() resets the numbering along with everything else), and
+// the ExperimentEngine uses them to evaluate each class once per hardware
+// state and fan the result out to all member inputs
+// (EngineConfig::collapseTraceClasses).  Classes are grouped by trace
+// content fingerprint and then CONFIRMED by exact record-for-record
+// comparison, so a hash collision can only cost a comparison, never merge
+// two distinct traces (which would corrupt results).
 
 #include <array>
 #include <cstdint>
@@ -50,9 +53,10 @@
 
 namespace pred::exp {
 
-/// Content fingerprint of a program: FNV-1a over the instruction stream AND
-/// all four MemoryLayout fields.  The bases matter even though they never
-/// change an address the code computes: staticBase/stackBase/heapBase decide
+/// Content fingerprint of a program: traceFingerprint's word mixer over the
+/// instruction stream (one packed word per instruction) AND all four
+/// MemoryLayout fields.  The bases matter even though they never change an
+/// address the code computes: staticBase/stackBase/heapBase decide
 /// the DataRegion classification of every access (split-cache routing), and
 /// memWords decides how out-of-range addresses wrap (MachineState::wrapAddr)
 /// — two code-identical programs with different layouts can produce
@@ -61,10 +65,13 @@ namespace pred::exp {
 /// tests/exp_engine_test.cpp fails against it.)  Exposed for tests.
 std::uint64_t programFingerprint(const isa::Program& program);
 
-/// Content fingerprint of one functional trace: FNV-1a over every dynamic
-/// record (pc, decoded instruction, branch outcome, successor, effective
-/// address, data-dependent latency).  Equal traces always hash equal; the
-/// class machinery below never trusts the converse.  Exposed for tests and
+/// Content fingerprint of one functional trace: every dynamic record (pc,
+/// decoded instruction, branch outcome, successor, effective address,
+/// data-dependent latency) packed losslessly into four 64-bit words and
+/// mixed a word at a time.  Each mixing step is a bijection of the hash
+/// state, so two traces of equal length that differ in exactly one packed
+/// word always hash differently.  Equal traces always hash equal; the class
+/// machinery below never trusts the converse.  Exposed for tests and
 /// for callers that group externally-computed traces (the engine's
 /// trace-pointer entry points).
 std::uint64_t traceFingerprint(const isa::Trace& trace);
@@ -80,12 +87,14 @@ class TraceStore {
 
   /// Returns the memoized trace of `program` on `input`, computing it on
   /// first use.  Throws if the program does not halt on the input.  The
-  /// returned reference stays valid until clear()/destruction.
+  /// returned reference is the trace of the input's class (shared by every
+  /// member input) and stays valid until clear()/destruction.
   const isa::Trace& traceFor(const isa::Program& program,
                              const isa::Input& input);
 
-  /// The compiled replay form of the same trace, lowered on first use and
-  /// cached next to it (computes the trace too when missing).
+  /// The compiled replay form of the same trace, lowered on first use of
+  /// its class and shared by every member input (computes the trace too
+  /// when missing).
   const ReplayProgram& compiledFor(const isa::Program& program,
                                    const isa::Input& input);
 
@@ -112,6 +121,7 @@ class TraceStore {
   std::vector<const isa::Trace*> tracesFor(
       const isa::Program& program, const std::vector<isa::Input>& inputs);
 
+  /// Keys (distinct (program, input) pairs) memoized so far.
   std::size_t size() const;
   /// Distinct trace-equivalence classes assigned so far (<= size()).
   std::size_t classCount() const;
@@ -124,49 +134,51 @@ class TraceStore {
   /// hit (the store already had the trace by the time it inserted).
   std::uint64_t hits() const { return hits_.value(); }
   std::uint64_t misses() const { return misses_.value(); }
+  /// ReplayPrograms lowered so far: at most one per class, for any number
+  /// of concurrent fillers.
+  std::uint64_t compiles() const { return compiles_.value(); }
 
-  /// Drops every entry AND resets the hit/miss counters and the class
+  /// Drops every entry and class AND resets the counters and the class
   /// numbering — a cleared store reports like a fresh one.
   void clear();
 
  private:
-  struct Entry {
+  /// One trace-equivalence class: the trace every member input shares and
+  /// its compiled form, lowered on first demand.  Heap-allocated and never
+  /// moved, so the pointers handed out stay stable until clear().
+  struct TraceClass {
     isa::Trace trace;
-    /// Lazily lowered; unique_ptr for pointer stability once published.
-    std::unique_ptr<ReplayProgram> compiled;
-    /// Trace-equivalence class id, assigned once the entry is published
-    /// (always accessed under the owning bucket's lock).
-    std::uint32_t classId = 0;
+    std::uint32_t id = 0;
+    std::once_flag compileOnce;
+    ReplayProgram compiled;
   };
   struct Bucket {
     mutable std::mutex mu;
-    /// unique_ptr for pointer stability across rehashes.
-    std::unordered_map<std::string, std::unique_ptr<Entry>> entries;
+    std::unordered_map<std::string, TraceClass*> entries;
   };
 
   Bucket& bucketFor(const std::string& key);
-  /// The memoized entry, created (trace computed, class assigned) on first
-  /// use.
-  Entry& entryFor(const isa::Program& program, const isa::Input& input,
-                  const std::string& key);
-  /// The class id of `trace`: the id of the existing class whose
-  /// representative is record-for-record identical, or a fresh id.  `trace`
-  /// must be owned by a published entry (its address is retained as the
-  /// class representative until clear()).
-  std::uint32_t classFor(const isa::Trace& trace);
+  /// The class of (program, input), running the program and assigning the
+  /// class on first use of the key.
+  TraceClass& classOf(const isa::Program& program, const isa::Input& input);
+  /// The existing class whose trace is record-for-record identical to
+  /// `trace`, or a fresh class that takes ownership of it.
+  TraceClass& internClass(isa::Trace&& trace);
+  /// `cls`'s compiled form, lowering it on first call (exactly once per
+  /// class, whichever thread gets there first).
+  const ReplayProgram& compiledOf(TraceClass& cls);
 
   std::array<Bucket, kNumBuckets> buckets_;
-  /// Trace-equivalence classes: content fingerprint -> the classes sharing
-  /// that fingerprint, each as (id, representative trace).  The vector is
-  /// the collision guard: same-fingerprint-different-content traces get
-  /// distinct ids.
+  /// Owns every class, in id order; classesByFingerprint_ indexes them by
+  /// trace content fingerprint.  The per-fingerprint vector is the collision
+  /// guard: same-fingerprint-different-content traces get distinct classes.
   mutable std::mutex classMu_;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::uint32_t, const isa::Trace*>>>
+  std::vector<std::unique_ptr<TraceClass>> classes_;
+  std::unordered_map<std::uint64_t, std::vector<TraceClass*>>
       classesByFingerprint_;
-  std::uint32_t nextClassId_ = 0;
   obs::Counter hits_;
   obs::Counter misses_;
+  obs::Counter compiles_;
 };
 
 }  // namespace pred::exp

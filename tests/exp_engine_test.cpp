@@ -4,14 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/exhaustive.h"
 #include "exp/engine.h"
 #include "exp/platform.h"
 #include "exp/trace_store.h"
+#include "exp/worker_pool.h"
 #include "isa/ast.h"
 #include "isa/workloads.h"
+#include "study/workloads.h"
 
 namespace pred::exp {
 namespace {
@@ -228,8 +234,9 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   EXPECT_EQ(ref0.classId, refRenamed.classId);
   EXPECT_EQ(ref0.trace, refRenamed.trace);  // same entry entirely
   EXPECT_EQ(ref0.classId, refScratch.classId);
-  EXPECT_NE(ref0.trace, refScratch.trace);  // distinct entry, same class
-  EXPECT_TRUE(tracesIdentical(*ref0.trace, *refScratch.trace));
+  // Distinct entry, same class: the scratch input's own run was dropped
+  // and its entry points at the class representative.
+  EXPECT_EQ(ref0.trace, refScratch.trace);
 
   // An input whose trace certainly differs (the key lands in slot 0, so
   // the very first comparison ends the scan) gets its own class;
@@ -243,11 +250,172 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
 
   EXPECT_EQ(store.size(), 3u);        // input0, scratch, found
   EXPECT_EQ(store.classCount(), 2u);  // {input0, scratch}, {found}
+  EXPECT_EQ(store.compiles(), 1u);    // only entryRefFor lowers
 
   // clear() resets the class numbering along with the entries.
   store.clear();
   EXPECT_EQ(store.classCount(), 0u);
+  EXPECT_EQ(store.compiles(), 0u);
   EXPECT_EQ(store.traceRefFor(prog, found).classId, 0u);
+}
+
+/// A three-record trace whose middle record sets every ExecRecord field to
+/// a distinct, non-default value.
+isa::Trace fieldProbeTrace() {
+  isa::ExecRecord rec;
+  rec.pc = 5;
+  rec.instr = isa::Instr{isa::Op::LD, 3, 4, 6, -7};
+  rec.branchTaken = false;
+  rec.nextPc = 6;
+  rec.memWordAddr = 100;
+  rec.extraLatency = 2;
+  return isa::Trace(3, rec);
+}
+
+TEST(TraceFingerprint, EveryRecordFieldReachesTheHash) {
+  // Guards the word packing: a field shifted out of its word, or two
+  // fields sharing bits, would let a one-field change go unnoticed.
+  using Mutation = std::pair<const char*, std::function<void(isa::ExecRecord&)>>;
+  const std::vector<Mutation> mutations = {
+      {"pc", [](isa::ExecRecord& r) { r.pc = 9; }},
+      {"pc negative", [](isa::ExecRecord& r) { r.pc = -5; }},
+      {"op", [](isa::ExecRecord& r) { r.instr.op = isa::Op::ST; }},
+      {"rd", [](isa::ExecRecord& r) { r.instr.rd = 255; }},
+      {"rs1", [](isa::ExecRecord& r) { r.instr.rs1 = 5; }},
+      {"rs2", [](isa::ExecRecord& r) { r.instr.rs2 = 7; }},
+      {"imm negative", [](isa::ExecRecord& r) { r.instr.imm = -8; }},
+      {"imm sign", [](isa::ExecRecord& r) { r.instr.imm = 7; }},
+      {"imm min", [](isa::ExecRecord& r) { r.instr.imm = INT32_MIN; }},
+      {"branchTaken", [](isa::ExecRecord& r) { r.branchTaken = true; }},
+      {"nextPc", [](isa::ExecRecord& r) { r.nextPc = 7; }},
+      {"memWordAddr -1", [](isa::ExecRecord& r) { r.memWordAddr = -1; }},
+      {"memWordAddr > 2^32",
+       [](isa::ExecRecord& r) { r.memWordAddr = 100 + (1LL << 32); }},
+      {"memWordAddr bit 62",
+       [](isa::ExecRecord& r) { r.memWordAddr = 100 + (1LL << 62); }},
+      {"extraLatency", [](isa::ExecRecord& r) { r.extraLatency = 3; }},
+      {"extraLatency high bit",
+       [](isa::ExecRecord& r) { r.extraLatency = 2 + INT32_MIN; }},
+      // Swapped neighbours: the fields must not share bits.
+      {"rd <-> rs1",
+       [](isa::ExecRecord& r) { std::swap(r.instr.rd, r.instr.rs1); }},
+      {"rs1 <-> rs2",
+       [](isa::ExecRecord& r) { std::swap(r.instr.rs1, r.instr.rs2); }},
+      {"pc <-> nextPc", [](isa::ExecRecord& r) { std::swap(r.pc, r.nextPc); }},
+  };
+  const isa::Trace base = fieldProbeTrace();
+  const std::uint64_t baseFp = traceFingerprint(base);
+  for (const auto& [name, mutate] : mutations) {
+    isa::Trace changed = base;
+    mutate(changed[1]);
+    EXPECT_FALSE(tracesIdentical(base, changed)) << name;
+    EXPECT_NE(traceFingerprint(changed), baseFp) << name;
+  }
+  // Length is part of the content too.
+  isa::Trace longer = base;
+  longer.push_back(base.back());
+  EXPECT_NE(traceFingerprint(longer), baseFp);
+  EXPECT_EQ(traceFingerprint(isa::Trace(base)), baseFp);
+}
+
+TEST(ProgramFingerprint, EveryInstructionAndLayoutFieldReachesTheHash) {
+  isa::Program base;
+  base.code = {
+      isa::Instr{isa::Op::LI, 1, 0, 0, 100},
+      isa::Instr{isa::Op::LD, 2, 1, 3, -4},
+      isa::Instr{isa::Op::HALT, 0, 0, 0, 0},
+  };
+  using Mutation = std::pair<const char*, std::function<void(isa::Program&)>>;
+  const std::vector<Mutation> mutations = {
+      {"op", [](isa::Program& p) { p.code[1].op = isa::Op::ST; }},
+      {"rd", [](isa::Program& p) { p.code[1].rd = 255; }},
+      {"rs1", [](isa::Program& p) { p.code[1].rs1 = 4; }},
+      {"rs2", [](isa::Program& p) { p.code[1].rs2 = 9; }},
+      {"imm negative", [](isa::Program& p) { p.code[1].imm = -5; }},
+      {"imm sign", [](isa::Program& p) { p.code[1].imm = 4; }},
+      {"rd <-> rs1",
+       [](isa::Program& p) { std::swap(p.code[1].rd, p.code[1].rs1); }},
+      {"rs1 <-> rs2",
+       [](isa::Program& p) { std::swap(p.code[1].rs1, p.code[1].rs2); }},
+      {"staticBase", [](isa::Program& p) { p.layout.staticBase = 8; }},
+      {"stackBase", [](isa::Program& p) { p.layout.stackBase = 512; }},
+      {"heapBase", [](isa::Program& p) { p.layout.heapBase = 64; }},
+      {"heapBase > 2^32",
+       [](isa::Program& p) { p.layout.heapBase += 1LL << 32; }},
+      {"memWords", [](isa::Program& p) { p.layout.memWords = 64; }},
+      {"memWords > 2^32",
+       [](isa::Program& p) { p.layout.memWords += 1LL << 40; }},
+      {"extra instruction",
+       [](isa::Program& p) { p.code.push_back(p.code.back()); }},
+  };
+  const std::uint64_t baseFp = programFingerprint(base);
+  for (const auto& [name, mutate] : mutations) {
+    isa::Program changed = base;
+    mutate(changed);
+    EXPECT_NE(programFingerprint(changed), baseFp) << name;
+  }
+}
+
+TEST(TraceStore, CompilesEachClassOnceAndSharesItAcrossMembers) {
+  // linearsearch-16x64-dup: 64 inputs over 48 store keys, 16 trace classes.
+  const auto w =
+      study::WorkloadRegistry::instance().make("linearsearch-16x64-dup");
+  ASSERT_EQ(w.inputs.size(), 64u);
+  PlatformOptions options;
+  options.numStates = 4;
+  const auto model =
+      PlatformRegistry::instance().make("inorder-lru", w.program, options);
+  ExperimentEngine engine(EngineConfig{1});
+  engine.reduceCells(*model, w.program, w.inputs);
+  const auto report = engine.report();
+  EXPECT_EQ(report.counter("trace_store.entries"), 48u);
+  EXPECT_EQ(report.counter("trace_store.classes"), 16u);
+  EXPECT_EQ(report.counter("trace_store.compiles"),
+            report.counter("trace_store.classes"));
+
+  // Every member of a class gets the class's own trace and compiled form.
+  TraceStore& store = engine.traceStore();
+  std::map<std::uint32_t, TraceStore::EntryRef> firstOfClass;
+  for (const auto& in : w.inputs) {
+    const auto ref = store.entryRefFor(w.program, in);
+    const auto [it, fresh] = firstOfClass.try_emplace(ref.classId, ref);
+    if (!fresh) {
+      EXPECT_EQ(ref.compiled, it->second.compiled);
+      EXPECT_EQ(ref.trace, it->second.trace);
+    }
+  }
+  EXPECT_EQ(firstOfClass.size(), 16u);
+  EXPECT_EQ(store.compiles(), 16u);  // re-lookups lower nothing
+}
+
+TEST(TraceStore, ConcurrentFillCompilesEachClassOnce) {
+  const auto w =
+      study::WorkloadRegistry::instance().make("linearsearch-16x64-dup");
+  PlatformOptions options;
+  options.numStates = 4;
+  const auto model =
+      PlatformRegistry::instance().make("inorder-lru", w.program, options);
+  ExperimentEngine serial(EngineConfig{1});
+  const auto expected = serial.reduceCells(*model, w.program, w.inputs);
+
+  // The engine's own threads=4 resolve pass.
+  ExperimentEngine parallel(EngineConfig{4});
+  EXPECT_TRUE(parallel.reduceCells(*model, w.program, w.inputs)
+                  .identicalTo(expected));
+  const auto report = parallel.report();
+  EXPECT_EQ(report.counter("trace_store.entries"), 48u);
+  EXPECT_EQ(report.counter("trace_store.classes"), 16u);
+  EXPECT_EQ(report.counter("trace_store.compiles"), 16u);
+
+  // Four workers racing over every input three times: same classes, one
+  // lowering each, whoever loses each race.
+  TraceStore store;
+  WorkerPool::shared().run(w.inputs.size() * 3, 4, [&](std::size_t k, int) {
+    store.entryRefFor(w.program, w.inputs[k % w.inputs.size()]);
+  });
+  EXPECT_EQ(store.size(), 48u);
+  EXPECT_EQ(store.classCount(), 16u);
+  EXPECT_EQ(store.compiles(), 16u);
 }
 
 TEST(TraceStore, ThrowsOnNonHaltingProgram) {

@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/measures.h"
+#include "core/wire.h"
 #include "exp/engine.h"
 #include "exp/platform.h"
 #include "exp/shard.h"
@@ -571,6 +573,78 @@ TEST(MeasuresWire, RejectsMalformedInputWithClearErrors) {
   ASSERT_NE(numPos, std::string::npos);
   bad[numPos] = 'x';
   EXPECT_THROW(parse(bad), std::invalid_argument);
+}
+
+/// core::wire::nextNumber over a whole text, as every wire format uses it.
+template <typename T>
+T wireNumber(const std::string& text) {
+  std::istringstream in(text);
+  return core::wire::nextNumber<T>(in, "test", "field");
+}
+
+TEST(WireNumbers, AcceptsPlainDecimalTokens) {
+  EXPECT_EQ(wireNumber<int>("42"), 42);
+  EXPECT_EQ(wireNumber<int>("-42"), -42);
+  EXPECT_EQ(wireNumber<int>("+42"), 42);
+  EXPECT_EQ(wireNumber<int>("007"), 7);
+  EXPECT_EQ(wireNumber<int>("  12  "), 12);  // one token, spaces around
+  EXPECT_EQ(wireNumber<std::size_t>("+0"), 0u);
+  EXPECT_EQ(wireNumber<std::int64_t>("-0"), 0);
+  EXPECT_EQ(wireNumber<std::int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(wireNumber<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  std::istringstream two("3 4");
+  EXPECT_EQ(core::wire::nextNumber<int>(two, "test", "a"), 3);
+  EXPECT_EQ(core::wire::nextNumber<int>(two, "test", "b"), 4);
+}
+
+TEST(WireNumbers, RejectsWhatTheFormatsAlwaysRejected) {
+  const auto rejects = [](auto parse, const std::string& text) {
+    try {
+      parse(text);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("field"), std::string::npos)
+          << "'" << text << "': " << e.what();
+      return;
+    }
+    ADD_FAILURE() << "accepted '" << text << "'";
+  };
+  const auto asInt = [](const std::string& t) { return wireNumber<int>(t); };
+  const auto asI64 = [](const std::string& t) {
+    return wireNumber<std::int64_t>(t);
+  };
+  const auto asU64 = [](const std::string& t) {
+    return wireNumber<std::uint64_t>(t);
+  };
+  const auto asSize = [](const std::string& t) {
+    return wireNumber<std::size_t>(t);
+  };
+  // Overflow of the target type.
+  rejects(asInt, "2147483648");
+  rejects(asInt, "-2147483649");
+  rejects(asI64, "9223372036854775808");
+  rejects(asI64, "-9223372036854775809");
+  rejects(asU64, "18446744073709551616");
+  rejects(asSize, "99999999999999999999999");
+  // '-' on unsigned fields, including the ones that would wrap.
+  rejects(asU64, "-1");
+  rejects(asU64, "-0");
+  rejects(asSize, "-18446744073709551615");
+  // Junk suffixes and non-decimal spellings.
+  rejects(asInt, "12x");
+  rejects(asInt, "1.5");
+  rejects(asInt, "1e3");
+  rejects(asInt, "0x10");
+  rejects(asU64, "7-");
+  // Bare or doubled signs.
+  rejects(asInt, "+");
+  rejects(asInt, "-");
+  rejects(asInt, "+-1");
+  rejects(asInt, "-+1");
+  rejects(asInt, "++1");
+  rejects(asU64, "+-1");
+  // Empty token: nothing left to read.
+  rejects(asInt, "");
+  rejects(asU64, "   ");
 }
 
 TEST(MeasuresWire, MergeShardsValidatesInput) {
