@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # grid_run.sh — end-to-end smoke of the grid service: pred-grid-server +
-# subprocess workers + pred-grid-client, under fault injection.
+# subprocess attach workers + pred-grid-client, under fault injection.
 #
 # What it proves (the CI grid-smoke job and the grid_subprocess_smoke
 # ctest):
@@ -46,8 +46,8 @@
 #                             [-k shards] [-p platform] [-w workload]
 #                             [-s states] [-n workers] [build-dir]
 # Defaults: 8-way shards of the inorder-lru 64 x 64 grid on 4 workers,
-# build-dir=build.  (--smoke is accepted for symmetry with shard_run.sh;
-# the checks always run.)
+# build-dir=build.  (--smoke is accepted and ignored; the checks always
+# run.)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -239,10 +239,11 @@ if [ -n "$CHAOS_SEED" ]; then
     POINT="${PLAN%%:*}"
     echo "== chaos round $r/$ROUNDS (seed $CHAOS_SEED): --fault-plan '$PLAN'" >&2
     start_server --fault-plan "$PLAN" --conn-timeout-ms 10000
-    # One attached worker rides along every round, so the worker.attach /
-    # worker.frame plans have a socket channel to fire on (its own death,
-    # rejection, or clean EOF at round teardown are all tolerated — the
-    # pipe slots carry the job either way).
+    # One dialed-in worker rides along every round beside the spawned
+    # slots, so the worker.attach / worker.frame plans also fire on a
+    # remote channel (its own death, rejection, or clean EOF at round
+    # teardown are all tolerated — the spawned slots respawn and carry
+    # the job either way).
     "$WORKER" attach "unix:$SOCK" > /dev/null 2> "$TMP/chaos-attach.err" &
     ATTACH_PIDS=$!
 
@@ -347,13 +348,13 @@ fi
 echo "OK: distributed result is byte-identical under deterministic worker death" >&2
 
 echo "== job 2: uncached rerun with a kill -9'd worker" >&2
-# A background killer nukes the first live `serve` worker it sees — the
+# A background killer nukes the first live `attach` child it sees — the
 # scheduler must detect the death (EOF/EPIPE), requeue the orphaned shard,
 # respawn the slot, and still produce identical bytes.
 (
   j=0
   while [ "$j" -lt 250 ]; do
-    WPID="$(pgrep -P "$SERVER_PID" -f serve 2>/dev/null | head -n1 || true)"
+    WPID="$(pgrep -P "$SERVER_PID" -f attach 2>/dev/null | head -n1 || true)"
     if [ -n "$WPID" ]; then
       kill -9 "$WPID" 2>/dev/null || true
       echo "killed worker pid $WPID" >&2

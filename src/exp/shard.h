@@ -11,9 +11,9 @@
 // the FULL grid shape with global indices, merging K shards — in any
 // order, for any partition — reproduces the single-process reduceCells
 // result value-for-value and witness-for-witness: distribution cannot
-// change a witness.  tests/shard_test.cpp asserts exactly that; the
-// pred-shard-worker binary (tools/shard_worker.cpp) and
-// scripts/shard_run.sh are the real-subprocess fan-out.
+// change a witness.  tests/shard_test.cpp asserts exactly that; the grid
+// service (src/grid/) is the real-subprocess fan-out, its
+// `pred-shard-worker attach` workers evaluating one ShardSpec per lease.
 //
 // Layering: this header stays below the study layer — specs carry the
 // WORKLOAD NAME only, and evaluateShard takes the already-resolved program

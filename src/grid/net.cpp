@@ -76,17 +76,6 @@ class NonBlockScope {
   int flags_;
 };
 
-/// A peer that dies mid-conversation must surface as an EPIPE error from
-/// writeAll, not a SIGPIPE process kill — done once, before the first
-/// socket any grid component opens.
-void ignoreSigpipe() {
-  static const bool done = [] {
-    std::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)done;
-}
-
 sockaddr_un unixAddr(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -114,6 +103,14 @@ sockaddr_in tcpAddr(const Endpoint& ep) {
 }
 
 }  // namespace
+
+void ignoreSigpipe() {
+  static const bool done = [] {
+    std::signal(SIGPIPE, SIG_IGN);
+    return true;
+  }();
+  (void)done;
+}
 
 Endpoint parseEndpoint(const std::string& text) {
   Endpoint ep;

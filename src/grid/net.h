@@ -77,6 +77,12 @@ class Fd {
   int fd_ = -1;
 };
 
+/// A peer that dies mid-conversation must surface as an EPIPE error from
+/// writeAll, not a SIGPIPE process kill.  listenOn/connectTo call this;
+/// code handed a socket some other way (socketpair, inherited fd) calls
+/// it before the first write.  Idempotent.
+void ignoreSigpipe();
+
 /// Binds + listens on `ep`.  Unix paths are unlinked first (a daemon
 /// restart must not fail on its own stale socket file).  For tcp port 0
 /// the kernel-chosen port is written back into `*boundPort` (pass nullptr

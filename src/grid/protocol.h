@@ -1,8 +1,8 @@
 #pragma once
 // protocol.h — The grid service's framed wire protocol.
 //
-// Every message between grid components — client <-> pred-grid-server over
-// a socket, server <-> pred-shard-worker over pipes — is one length-
+// Every message between grid components — client <-> pred-grid-server and
+// server <-> pred-shard-worker, all over sockets — is one length-
 // prefixed frame carrying an existing text wire format as its payload
 // (ShardSpec, StreamingMeasures accumulator, RunReport: the PR 5/6
 // formats).  The frame layer adds exactly what those formats lack for a
@@ -27,23 +27,22 @@
 // The conversation grammar sits one level up, in the payload codecs below:
 // a client Submit carries a JobRequest (whole-grid ShardSpec + shard
 // count), the server answers Result (JobResultMsg: cache-hit flag +
-// fingerprint + accumulator bytes) or Error (message text); the scheduler
-// sends a worker Shard (ShardSpec text) and gets ShardResult
-// (ShardResultMsg: accumulator + RunReport).  Stats and Shutdown are
-// header-only requests.
+// fingerprint + accumulator bytes) or Error (message text).  Stats and
+// Shutdown are header-only requests.
 //
-// Remote worker attach adds a second conversation on the same framing: a
-// dialing worker opens with WorkerHello (WorkerHelloMsg: code-version
-// salt + concurrency), the server answers WorkerWelcome (or Error — a
-// salt mismatch is rejected at the door so a stale binary can never
-// poison the result cache), then shards flow as ShardAssign
-// (ShardAssignMsg: lease id + ShardSpec) answered by ShardDone
-// (ShardDoneMsg: the same lease id + result or failure text).  The lease
-// id exists because an attached worker may run several shards
-// concurrently and complete them out of order — pipe workers keep the
-// strictly serial Shard/ShardResult exchange unchanged.  Heartbeat is an
+// Workers speak one conversation on the same framing, whether they dialed
+// in or were spawned by the server on a socketpair: the worker opens with
+// WorkerHello (WorkerHelloMsg: code-version salt + concurrency), the
+// server answers WorkerWelcome (or Error — a salt mismatch is rejected at
+// the door so a stale binary can never poison the result cache), then
+// shards flow as ShardAssign (ShardAssignMsg: lease id + ShardSpec)
+// answered by ShardDone (ShardDoneMsg: the same lease id + result or
+// failure text).  The lease id exists because a worker may run several
+// shards concurrently and complete them out of order.  Heartbeat is an
 // idle-liveness tick in either direction; a worker that goes silent past
 // the server's connection deadline is treated as half-open and dropped.
+// Type ids 8 and 9 belonged to a retired worker exchange and are
+// rejected as unknown.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,8 +68,6 @@ enum class FrameType : std::uint8_t {
   StatsReply = 5,    ///< server -> client: RunReport wire text
   Shutdown = 6,      ///< client -> server: empty payload
   ShutdownAck = 7,   ///< server -> client: empty payload
-  Shard = 8,         ///< server -> worker: ShardSpec wire text
-  ShardResult = 9,   ///< worker -> server: ShardResultMsg payload
   WorkerHello = 10,    ///< worker -> server: WorkerHelloMsg payload
   WorkerWelcome = 11,  ///< server -> worker: empty payload (attach accepted)
   ShardAssign = 12,    ///< server -> worker: ShardAssignMsg payload
@@ -109,6 +106,14 @@ bool readFrame(int fd, Frame& out, int timeoutMs = -1);
 /// `timeoutMs` >= 0 bounds the write; net::TimeoutError on deadline.
 void writeFrame(int fd, const Frame& frame, int timeoutMs = -1);
 
+/// Outcome of a best-effort frame write.
+enum class WriteStatus { Ok, PeerGone, TimedOut };
+
+/// writeFrame for replies whose failure must not escape: a peer that
+/// vanished (EPIPE) or stopped draining its socket (deadline) is a dead
+/// connection, not a dead caller, and the two are tallied differently.
+WriteStatus tryWriteFrame(int fd, const Frame& frame, int timeoutMs = -1);
+
 // --------------------------------------------------------------- payloads
 
 /// A client's job: evaluate the whole-grid `spec`, split `shards` ways.
@@ -136,17 +141,7 @@ struct JobResultMsg {
 std::string encodeJobResultMsg(const JobResultMsg& msg);
 JobResultMsg parseJobResultMsg(const std::string& payload);
 
-/// One evaluated shard coming back from a worker: the accumulator plus the
-/// RunReport telemetry the scheduler's cost model consumes.
-struct ShardResultMsg {
-  std::string accumulatorText;
-  std::string reportText;
-};
-
-std::string encodeShardResultMsg(const ShardResultMsg& msg);
-ShardResultMsg parseShardResultMsg(const std::string& payload);
-
-/// A worker dialing in: the code-version salt it was built with (must
+/// A worker's opening frame: the code-version salt it was built with (must
 /// equal grid/fingerprint.h's kCodeVersionSalt or the handshake is
 /// rejected) and how many shards it will run concurrently (>= 1).
 struct WorkerHelloMsg {
@@ -157,7 +152,7 @@ struct WorkerHelloMsg {
 std::string encodeWorkerHelloMsg(const WorkerHelloMsg& msg);
 WorkerHelloMsg parseWorkerHelloMsg(const std::string& payload);
 
-/// A shard leased to an attached worker.  The id is the server's lease
+/// A shard leased to a worker.  The id is the server's lease
 /// token; the matching ShardDone must echo it, which is what lets a
 /// multi-shard worker complete out of order without ambiguity.
 struct ShardAssignMsg {
@@ -168,8 +163,8 @@ struct ShardAssignMsg {
 std::string encodeShardAssignMsg(const ShardAssignMsg& msg);
 ShardAssignMsg parseShardAssignMsg(const std::string& payload);
 
-/// An attached worker's answer to one ShardAssign: on ok the shard's
-/// accumulator + RunReport (the ShardResultMsg pair), otherwise the
+/// A worker's answer to one ShardAssign: on ok the shard's
+/// accumulator + RunReport, otherwise the
 /// failure text — either way the lease id rides along, so an evaluation
 /// failure still frees the right lease.
 struct ShardDoneMsg {

@@ -231,7 +231,6 @@ WorkStealingScheduler::WorkStealingScheduler(SchedulerConfig config)
     : config_(std::move(config)) {
   if (config_.workers < 1) config_.workers = 1;
   if (config_.maxAttempts < 1) config_.maxAttempts = 1;
-  if (config_.maxSpawnsPerSlot < 1) config_.maxSpawnsPerSlot = 1;
 }
 
 double WorkStealingScheduler::estimatedNsPerCell() const {
@@ -247,25 +246,6 @@ JobOutcome WorkStealingScheduler::run(
   fc.localSlots = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(config_.workers), shards.size()));
   fc.eval = eval;
-  fc.metrics = config_.metrics;
-  WorkerFleet fleet(fc);
-  return drive(fleet, shards);
-}
-
-JobOutcome WorkStealingScheduler::runSubprocess(
-    const std::vector<exp::ShardSpec>& shards) {
-  if (shards.empty())
-    throw std::invalid_argument("grid scheduler: empty shard list");
-  if (config_.workerCommand.empty())
-    throw std::invalid_argument(
-        "grid scheduler: subprocess mode needs a worker command");
-  FleetConfig fc;
-  fc.pipeSlots = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(config_.workers), shards.size()));
-  fc.workerCommand = config_.workerCommand;
-  fc.firstWorkerExtraArgs = config_.firstWorkerExtraArgs;
-  fc.maxSpawnsPerSlot = config_.maxSpawnsPerSlot;
-  fc.shardTimeoutMs = config_.shardTimeoutMs;
   fc.metrics = config_.metrics;
   WorkerFleet fleet(fc);
   return drive(fleet, shards);
@@ -294,11 +274,6 @@ JobOutcome WorkStealingScheduler::drive(
         outcome.workerDeaths = fleet.deaths();
         return outcome;
       }
-
-      if (fleet.exhausted())
-        throw std::runtime_error(
-            "grid scheduler: every worker slot exhausted its spawn budget "
-            "with shards left");
 
       // Sleep until the next event: a result/EOF on a channel fd, the
       // earliest backoff gate, or the earliest deadline.

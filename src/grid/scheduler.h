@@ -17,27 +17,21 @@
 //                         jobs can never share or reorder each other's
 //                         results.
 //
-//   WorkerChannel         transport: HOW a shard reaches a worker — pipe
-//   (worker_channel.h)    subprocess, attached socket worker, or local
-//                         evaluator thread — behind one poll()-able
+//   WorkerChannel         transport: HOW a shard reaches a worker — a
+//   (worker_channel.h)    socket worker (spawned child or dialed in) or a
+//                         local evaluator thread — behind one poll()-able
 //                         interface a single event loop multiplexes.
 //
 // WorkStealingScheduler composes the two for the standalone single-job
-// callers (tests, bench, the in-process example).  Its modes build a
-// WorkerFleet and drive one event loop:
-//
-//   run(shards, eval)   — config.workers LocalChannels (in-process
-//                         evaluator threads); a throwing eval is a failed
-//                         attempt.
-//   runSubprocess(...)  — config.workers PipeChannels (persistent
-//                         config.workerCommand children speaking the
-//                         framed protocol over stdin/stdout); death by
-//                         EOF / POLLHUP / write-EPIPE / timeout is
-//                         survived by respawn (bounded per slot).
+// callers (tests, bench, the in-process example): run(shards, eval)
+// builds a WorkerFleet of config.workers LocalChannels (in-process
+// evaluator threads; a throwing eval is a failed attempt) and drives one
+// event loop until the job settles.
 //
 // GridServer drives the same ShardQueue/WorkerFleet pair directly from
-// its connection event loop, which is what lets attached socket workers
-// and multiple concurrent client jobs share these exact semantics.
+// its connection event loop, which is what lets spawned and dialed-in
+// workers and multiple concurrent client jobs share these exact
+// semantics.
 //
 // Fault tolerance is one story everywhere: a failed attempt requeues the
 // shard with exponential backoff until maxAttempts, at which point the
@@ -62,28 +56,31 @@
 namespace pred::grid {
 
 struct SchedulerConfig {
-  /// Worker slots (LocalChannel threads in run(), PipeChannel children in
-  /// runSubprocess()).  Clamped to >= 1 by WorkStealingScheduler; a
-  /// GridServer additionally accepts 0 for attach-only fleets.
+  /// Worker slots (LocalChannel threads in run(); local threads or
+  /// spawned `attach` children in a GridServer).  Clamped to >= 1 by
+  /// WorkStealingScheduler; a GridServer additionally accepts 0 for
+  /// attach-only fleets.
   int workers = 2;
   /// Attempts per shard before its job fails (>= 1).
   int maxAttempts = 3;
-  /// Spawns per subprocess slot (initial spawn + respawns) before the slot
-  /// is retired (>= 1).
+  /// Spawns per spawned slot (initial spawn + respawns) before the slot
+  /// is retired (>= 1).  GridServer only.
   int maxSpawnsPerSlot = 4;
   /// Base retry backoff; attempt k waits retryBackoffMs * 2^(k-1), capped
   /// at 60 s (the exponent is also clamped, so an arbitrarily large
   /// maxAttempts cannot overflow the shift).
   std::uint64_t retryBackoffMs = 25;
-  /// Per-shard wall-time budget for pipe/socket workers; a worker that
-  /// exceeds it is killed and its shard retried.  0 disables the timeout.
+  /// Per-shard wall-time budget for socket workers; a worker that exceeds
+  /// it is killed and its shard retried.  0 disables the timeout.
+  /// GridServer only.
   std::uint64_t shardTimeoutMs = 0;
-  /// Subprocess mode: argv prefix of the worker binary; the scheduler
-  /// appends "serve".  E.g. {"./pred-shard-worker"}.
+  /// GridServer spawned slots: argv prefix of the worker binary; the
+  /// fleet appends "attach fd:N".  E.g. {"./pred-shard-worker"}.
   std::vector<std::string> workerCommand;
   /// Fault injection: extra argv appended to slot 0's FIRST spawn only
   /// (respawns come up clean), e.g. {"--exit-after", "1"} to make one
-  /// worker die mid-run deterministically.
+  /// worker die mid-run deterministically, or {"--salt", "bogus"} to have
+  /// its hello rejected.
   std::vector<std::string> firstWorkerExtraArgs;
   /// When set, the scheduler ticks grid.shards.dispatched / .retried and
   /// grid.worker.spawns / .deaths counters here.
@@ -229,12 +226,6 @@ class WorkStealingScheduler {
   /// std::runtime_error when a shard exhausts maxAttempts.
   JobOutcome run(const std::vector<exp::ShardSpec>& shards,
                  const ShardEvalFn& eval);
-
-  /// Evaluates `shards` across persistent config.workerCommand child
-  /// processes (see file comment).  Throws std::runtime_error when a shard
-  /// exhausts maxAttempts or every worker slot is retired with work left.
-  /// All children are reaped before any throw propagates.
-  JobOutcome runSubprocess(const std::vector<exp::ShardSpec>& shards);
 
   /// The cost model's current estimate (EWMA over completed shards'
   /// report wall time / cells); 0 before any shard completes.  Persists

@@ -13,30 +13,11 @@
 #include <utility>
 
 #include "exp/shard.h"
-#include "grid/faultpoint.h"
 #include "grid/fingerprint.h"
 
 namespace pred::grid {
 
 namespace {
-
-/// Best-effort reply.  A peer that vanishes before reading its reply
-/// (timeout, Ctrl-C, crash after Submit) makes writeFrame throw EPIPE,
-/// and one that stops draining its socket trips the deadline; either is a
-/// dead connection, not a dead server, so the failure must not escape
-/// into the event loop — but the two are tallied differently.
-enum class WriteStatus { Ok, PeerGone, TimedOut };
-
-WriteStatus tryWriteFrame(int fd, const Frame& frame, int timeoutMs) {
-  try {
-    writeFrame(fd, frame, timeoutMs);
-    return WriteStatus::Ok;
-  } catch (const net::TimeoutError&) {
-    return WriteStatus::TimedOut;
-  } catch (const std::exception&) {
-    return WriteStatus::PeerGone;
-  }
-}
 
 void setNonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -76,7 +57,7 @@ FleetConfig makeFleetConfig(const ServerConfig& config,
     fc.localSlots = workers;
     fc.eval = config.eval;
   } else {
-    fc.pipeSlots = workers;
+    fc.spawnSlots = workers;
     fc.workerCommand = config.scheduler.workerCommand;
     fc.firstWorkerExtraArgs = config.scheduler.firstWorkerExtraArgs;
   }
@@ -377,38 +358,20 @@ bool GridServer::onWorkerHello(Conn& conn, const Frame& frame) {
   const int timeout = config_.connTimeoutMs == 0
                           ? net::kNoDeadline
                           : static_cast<int>(config_.connTimeoutMs);
-  std::optional<WorkerHelloMsg> hello;
-  try {
-    fault::check("worker.attach");
-    hello.emplace(parseWorkerHelloMsg(frame.payload));
-  } catch (const std::exception& e) {
+  const HelloVerdict verdict =
+      answerWorkerHello(conn.fd.get(), frame.payload, timeout, &metrics_);
+  if (verdict.kind == HelloVerdict::Kind::Malformed) {
     metrics_.counter("grid.bad_frames").add();
     metrics_.counter("grid.conn.dropped").add();
-    tryWriteFrame(conn.fd.get(), Frame{FrameType::Error, e.what()}, timeout);
-    return false;
   }
-  if (hello->salt != kCodeVersionSalt) {
-    // A worker built from different code must never evaluate shards:
-    // byte-identity across the fleet is the whole contract.
-    metrics_.counter("grid.worker.rejected_salt").add();
-    tryWriteFrame(conn.fd.get(),
-                  Frame{FrameType::Error,
-                        "grid server: code-version salt mismatch (server " +
-                            std::string(kCodeVersionSalt) + ", worker " +
-                            hello->salt + ")"},
-                  timeout);
-    return false;
-  }
-  if (tryWriteFrame(conn.fd.get(), Frame{FrameType::WorkerWelcome, ""},
-                    timeout) != WriteStatus::Ok)
-    return false;
+  if (verdict.kind != HelloVerdict::Kind::Welcome) return false;
   // The fd moves into the fleet; bytes the worker pipelined after its
   // hello (an eager heartbeat) ride along as the channel's first buffer.
   std::string leftover = conn.buf.substr(conn.off);
   conn.buf.clear();
   conn.off = 0;
   fleet_.adopt(std::make_unique<SocketChannel>(
-      std::move(conn.fd), conn.peer, hello->concurrency,
+      std::move(conn.fd), conn.peer, verdict.concurrency,
       std::move(leftover)));
   metrics_.counter("grid.worker.attached").add();
   return false;  // retire the Conn record; the channel owns the socket now

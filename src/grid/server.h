@@ -11,11 +11,13 @@
 //
 // A connection's role is decided by its FIRST frame:
 //   - WorkerHello: a remote worker dialing in (pred-shard-worker attach).
-//     The handshake checks the code-version salt (fingerprint.h) — a
-//     mismatched worker is rejected with an Error frame and counted in
-//     grid.worker.rejected_salt; a matching one gets WorkerWelcome, its
-//     fd is adopted into the fleet as a SocketChannel, and it is handed
-//     shards from the same work-stealing queue as every other worker.
+//     The handshake (answerWorkerHello, worker_channel.h — the same check
+//     the server's own spawned children pass) verifies the code-version
+//     salt: a mismatched worker is rejected with an Error frame and
+//     counted in grid.worker.rejected_salt; a matching one gets
+//     WorkerWelcome, its fd is adopted into the fleet as a SocketChannel,
+//     and it is handed shards from the same work-stealing queue as every
+//     other worker.
 //   - anything else: a client conversation (grid/protocol.h): Submit
 //     frames carry jobs, StatsRequest reads the server's own RunReport,
 //     Shutdown stops the loop.  One job per connection is in flight at a
@@ -26,11 +28,13 @@
 //
 // The worker fleet is persistent across jobs: config.scheduler.workers
 // fixed slots (in-process evaluator threads when config.eval is set,
-// persistent worker children from scheduler.workerCommand otherwise;
+// otherwise `scheduler.workerCommand attach fd:N` children, each on its
+// own socketpair and speaking the same dialect as a dialed-in worker;
 // workers may be 0 for an attach-only server) plus any number of
 // dynamically attached socket workers.  Worker death — EOF, POLLHUP,
-// write-EPIPE, shard timeout, kill -9 of an attached worker — requeues
-// the dead worker's leases and the affected jobs complete byte-identical.
+// write-EPIPE, shard timeout, a rejected hello, kill -9 of any worker —
+// requeues the dead worker's leases and the affected jobs complete
+// byte-identical.
 //
 // Result caching: the job's fingerprint (grid/fingerprint.h) is looked up
 // first — a hit answers in O(1) with the EXACT bytes computed before,
@@ -82,7 +86,7 @@ struct ServerConfig {
   /// Staleness bound for IDLE attached workers (heartbeats reset it); one
   /// that exceeds it is treated as half-open and detached.  0 = disabled.
   std::uint64_t idleWorkerTimeoutMs = 0;
-  /// In-process evaluator; leave empty to run subprocess workers from
+  /// In-process evaluator; leave empty to spawn `attach` children from
   /// scheduler.workerCommand.
   ShardEvalFn eval;
 };

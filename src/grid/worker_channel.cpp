@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "grid/faultpoint.h"
+#include "grid/fingerprint.h"
 #include "grid/protocol.h"
 
 namespace pred::grid {
@@ -19,6 +21,10 @@ namespace pred::grid {
 namespace {
 
 void setCloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
+
+/// How long a spawned child may take to send its WorkerHello (the same
+/// budget a dialing worker gives the whole handshake).
+constexpr std::chrono::milliseconds kHelloTimeout{10'000};
 
 /// Appends decoded-frame bookkeeping: once the decode offset trails a
 /// megabyte of consumed bytes, compact the buffer.
@@ -66,166 +72,41 @@ bool WorkerChannel::noteSettled(std::uint64_t token) {
   return false;
 }
 
-// ------------------------------------------------------------ PipeChannel
-
-PipeChannel::PipeChannel(const std::vector<std::string>& argvStrings) {
-  int inPipe[2], outPipe[2];
-  if (::pipe(inPipe) != 0)
-    throw std::runtime_error(std::string("grid worker: pipe: ") +
-                             std::strerror(errno));
-  if (::pipe(outPipe) != 0) {
-    ::close(inPipe[0]);
-    ::close(inPipe[1]);
-    throw std::runtime_error(std::string("grid worker: pipe: ") +
-                             std::strerror(errno));
-  }
-  // Parent-held ends must not leak into any child's exec image — a stray
-  // inherited write end would defeat EOF-based death detection.
-  setCloexec(inPipe[1]);
-  setCloexec(outPipe[0]);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(inPipe[0]);
-    ::close(inPipe[1]);
-    ::close(outPipe[0]);
-    ::close(outPipe[1]);
-    throw std::runtime_error(std::string("grid worker: fork: ") +
-                             std::strerror(errno));
-  }
-  if (pid == 0) {
-    ::dup2(inPipe[0], STDIN_FILENO);
-    ::dup2(outPipe[1], STDOUT_FILENO);
-    ::close(inPipe[0]);
-    ::close(outPipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(argvStrings.size() + 1);
-    for (const std::string& a : argvStrings)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execvp(argv[0], argv.data());
-    // Exec failed; stderr is still the parent's.
-    ::perror("pred-grid worker exec");
-    ::_exit(127);
-  }
-  ::close(inPipe[0]);
-  ::close(outPipe[1]);
-  pid_ = pid;
-  in_.reset(inPipe[1]);
-  out_.reset(outPipe[0]);
-  alive_ = true;
-  peer_ = "pipe:pid=" + std::to_string(static_cast<long>(pid));
-}
-
-PipeChannel::~PipeChannel() { kill(); }
-
-void PipeChannel::reap() {
-  if (pid_ > 0) {
-    ::kill(pid_, SIGKILL);  // no-op if already exited
-    int status = 0;
-    while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-    }
-  }
-  pid_ = -1;
-  in_.reset();
-  out_.reset();
-  buf_.clear();
-  off_ = 0;
-  alive_ = false;
-}
-
-std::vector<ChannelEvent> PipeChannel::die(const std::string& why) {
-  alive_ = false;
-  ChannelEvent ev;
-  ev.kind = ChannelEvent::Kind::Died;
-  ev.why = why;
-  return {std::move(ev)};
-}
-
-void PipeChannel::dispatch(std::uint64_t token, const exp::ShardSpec& spec) {
-  writeFrame(in_.get(),
-             Frame{FrameType::Shard, exp::serializeShardSpec(spec)});
-  noteDispatched(token);
-}
-
-std::vector<ChannelEvent> PipeChannel::drain() {
-  char chunk[65536];
-  const ssize_t r = ::read(out_.get(), chunk, sizeof chunk);
-  if (r < 0) {
-    if (errno == EINTR || errno == EAGAIN) return {};
-    return die(std::string("worker read error: ") + std::strerror(errno));
-  }
-  if (r == 0) return die("worker closed its pipe (EOF)");
-  lastHeard_ = Clock::now();
-  buf_.append(chunk, static_cast<std::size_t>(r));
-  std::vector<ChannelEvent> events;
-  try {
-    while (std::optional<Frame> f = decodeFrame(buf_, off_)) {
-      if (inFlight_.empty())
-        throw std::invalid_argument("frame from an idle worker");
-      const std::uint64_t token = inFlight_.front().token;
-      if (f->type == FrameType::ShardResult) {
-        ShardResultMsg msg = parseShardResultMsg(f->payload);
-        ChannelEvent ev;
-        ev.kind = ChannelEvent::Kind::Done;
-        ev.token = token;
-        ev.output =
-            ShardOutput{core::StreamingMeasures::deserialize(
-                            msg.accumulatorText),
-                        obs::RunReport::deserialize(msg.reportText)};
-        noteSettled(token);
-        ++completedCount_;
-        events.push_back(std::move(ev));
-      } else if (f->type == FrameType::Error) {
-        ChannelEvent ev;
-        ev.kind = ChannelEvent::Kind::Failed;
-        ev.token = token;
-        ev.why = "worker error: " + f->payload;
-        noteSettled(token);
-        events.push_back(std::move(ev));
-      } else {
-        throw std::invalid_argument("unexpected frame type from worker");
-      }
-    }
-    compactBuffer(buf_, off_);
-  } catch (const std::exception& e) {
-    // A worker speaking garbage is as dead as one that exited: its
-    // stream can't be resynchronized.  Earlier well-formed results in
-    // this drain still count.
-    std::vector<ChannelEvent> death =
-        die(std::string("worker protocol violation: ") + e.what());
-    events.push_back(std::move(death.front()));
-  }
-  return events;
-}
-
-std::vector<ChannelEvent> PipeChannel::hangup() {
-  return die("worker hung up");
-}
-
-void PipeChannel::shutdown() {
-  if (!alive_) return;
-  try {
-    writeFrame(in_.get(), Frame{FrameType::Shutdown, ""});
-  } catch (...) {
-    // Already dead; reap below.
-  }
-  in_.reset();
-  int status = 0;
-  for (int spin = 0; spin < 200; ++spin) {  // ~2 s grace
-    const pid_t r = ::waitpid(pid_, &status, WNOHANG);
-    if (r == pid_ || (r < 0 && errno != EINTR)) {
-      pid_ = -1;
-      break;
-    }
-    ::usleep(10'000);
-  }
-  reap();
-}
-
-void PipeChannel::kill() { reap(); }
-
 // ---------------------------------------------------------- SocketChannel
+
+HelloVerdict answerWorkerHello(int fd, const std::string& payload,
+                               int timeoutMs,
+                               obs::MetricsRegistry* metrics) {
+  HelloVerdict v;
+  WorkerHelloMsg hello;
+  try {
+    fault::check("worker.attach");
+    hello = parseWorkerHelloMsg(payload);
+  } catch (const std::exception& e) {
+    v.why = e.what();
+    tryWriteFrame(fd, Frame{FrameType::Error, v.why}, timeoutMs);
+    return v;
+  }
+  if (hello.salt != kCodeVersionSalt) {
+    // A worker built from different code must never evaluate shards:
+    // byte-identity across the fleet is the whole contract.
+    v.kind = HelloVerdict::Kind::WrongSalt;
+    v.why = "grid server: code-version salt mismatch (server " +
+            std::string(kCodeVersionSalt) + ", worker " + hello.salt + ")";
+    if (metrics) metrics->counter("grid.worker.rejected_salt").add();
+    tryWriteFrame(fd, Frame{FrameType::Error, v.why}, timeoutMs);
+    return v;
+  }
+  if (tryWriteFrame(fd, Frame{FrameType::WorkerWelcome, ""}, timeoutMs) !=
+      WriteStatus::Ok) {
+    v.kind = HelloVerdict::Kind::Unreachable;
+    v.why = "worker vanished before its WorkerWelcome";
+    return v;
+  }
+  v.kind = HelloVerdict::Kind::Welcome;
+  v.concurrency = hello.concurrency;
+  return v;
+}
 
 SocketChannel::SocketChannel(net::Fd fd, std::string peer,
                              std::size_t concurrency,
@@ -234,6 +115,47 @@ SocketChannel::SocketChannel(net::Fd fd, std::string peer,
       peer_(std::move(peer)),
       concurrency_(concurrency == 0 ? 1 : concurrency),
       buf_(std::move(pendingBytes)) {}
+
+std::unique_ptr<SocketChannel> SocketChannel::spawn(
+    const std::vector<std::string>& command,
+    const std::vector<std::string>& extraArgs,
+    obs::MetricsRegistry* metrics) {
+  net::ignoreSigpipe();
+  int sv[2];
+  // Both ends close-on-exec, so no other child ever inherits them (a
+  // stray copy of a child's end would defeat EOF-based death detection).
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+    throw std::runtime_error(std::string("grid worker: socketpair: ") +
+                             std::strerror(errno));
+  net::Fd parentEnd(sv[0]);
+  net::Fd childEnd(sv[1]);
+  std::vector<std::string> args = command;
+  args.push_back("attach");
+  args.push_back("fd:" + std::to_string(childEnd.get()));
+  args.insert(args.end(), extraArgs.begin(), extraArgs.end());
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+
+  const pid_t pid = ::fork();
+  if (pid < 0)
+    throw std::runtime_error(std::string("grid worker: fork: ") +
+                             std::strerror(errno));
+  if (pid == 0) {
+    // Only the child's own end survives the exec.
+    ::fcntl(childEnd.get(), F_SETFD, 0);
+    ::execvp(argv[0], argv.data());
+    ::perror("pred-grid worker exec");  // stderr is still the parent's
+    ::_exit(127);
+  }
+  std::unique_ptr<SocketChannel> ch(new SocketChannel(
+      std::move(parentEnd),
+      "spawn:pid=" + std::to_string(static_cast<long>(pid)), 1));
+  ch->pid_ = pid;
+  ch->awaitingHello_ = true;
+  ch->metrics_ = metrics;
+  return ch;
+}
 
 SocketChannel::~SocketChannel() { kill(); }
 
@@ -244,6 +166,14 @@ std::vector<ChannelEvent> SocketChannel::die(const std::string& why) {
   ev.kind = ChannelEvent::Kind::Died;
   ev.why = why;
   return {std::move(ev)};
+}
+
+void SocketChannel::reap() {
+  if (pid_ <= 0) return;
+  ::kill(pid_, SIGKILL);  // no-op if already exited
+  while (::waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
+  }
+  pid_ = -1;
 }
 
 void SocketChannel::dispatch(std::uint64_t token,
@@ -271,6 +201,17 @@ std::vector<ChannelEvent> SocketChannel::drain() {
   try {
     fault::check("worker.frame");
     while (std::optional<Frame> f = decodeFrame(buf_, off_)) {
+      if (awaitingHello_) {
+        if (f->type != FrameType::WorkerHello)
+          throw std::invalid_argument("spawned worker skipped its hello");
+        const HelloVerdict v = answerWorkerHello(
+            fd_.get(), f->payload, /*timeoutMs=*/1000, metrics_);
+        if (v.kind != HelloVerdict::Kind::Welcome)
+          throw std::invalid_argument(v.why);
+        concurrency_ = v.concurrency;
+        awaitingHello_ = false;
+        continue;
+      }
       if (f->type == FrameType::Heartbeat) continue;  // liveness only
       if (f->type == FrameType::ShardDone) {
         ShardDoneMsg msg = parseShardDoneMsg(f->payload);
@@ -311,20 +252,24 @@ std::vector<ChannelEvent> SocketChannel::hangup() {
 }
 
 void SocketChannel::shutdown() {
-  if (!alive_) return;
-  try {
-    writeFrame(fd_.get(), Frame{FrameType::Shutdown, ""},
-               /*timeoutMs=*/1000);
-  } catch (...) {
-    // Peer already gone.
-  }
+  if (alive_)
+    tryWriteFrame(fd_.get(), Frame{FrameType::Shutdown, ""},
+                  /*timeoutMs=*/1000);
   alive_ = false;
   fd_.reset();
+  // A spawned child exits on Shutdown or EOF; give it ~2 s to do so.
+  for (int spin = 0; pid_ > 0 && spin < 200; ++spin) {
+    const pid_t r = ::waitpid(pid_, nullptr, WNOHANG);
+    if (r == pid_ || (r < 0 && errno != EINTR)) pid_ = -1;
+    else ::usleep(10'000);
+  }
+  reap();
 }
 
 void SocketChannel::kill() {
   alive_ = false;
   fd_.reset();
+  reap();
 }
 
 // ----------------------------------------------------------- LocalChannel
@@ -432,31 +377,31 @@ void LocalChannel::kill() { stop(); }
 
 WorkerFleet::WorkerFleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.maxSpawnsPerSlot < 1) cfg_.maxSpawnsPerSlot = 1;
-  if (cfg_.pipeSlots > 0 && cfg_.workerCommand.empty())
+  if (cfg_.spawnSlots > 0 && cfg_.workerCommand.empty())
     throw std::invalid_argument(
-        "grid fleet: pipe slots need a worker command");
+        "grid fleet: spawned slots need a worker command");
   if (cfg_.localSlots > 0 && !cfg_.eval)
     throw std::invalid_argument(
         "grid fleet: local slots need an evaluator");
   slots_.resize(static_cast<std::size_t>(
-      (cfg_.pipeSlots > 0 ? cfg_.pipeSlots : 0) +
+      (cfg_.spawnSlots > 0 ? cfg_.spawnSlots : 0) +
       (cfg_.localSlots > 0 ? cfg_.localSlots : 0)));
   std::size_t s = 0;
-  for (int k = 0; k < cfg_.pipeSlots; ++k, ++s)
-    spawnPipeSlot(slots_[s], /*firstSpawnOfSlot0=*/k == 0);
+  for (int k = 0; k < cfg_.spawnSlots; ++k, ++s)
+    spawnSlot(slots_[s], /*firstSpawnOfSlot0=*/k == 0);
   for (int k = 0; k < cfg_.localSlots; ++k, ++s)
     slots_[s].ch = std::make_unique<LocalChannel>(cfg_.eval, k);
 }
 
 WorkerFleet::~WorkerFleet() { killAll(); }
 
-void WorkerFleet::spawnPipeSlot(Slot& slot, bool firstSpawnOfSlot0) {
-  std::vector<std::string> argv = cfg_.workerCommand;
-  argv.push_back("serve");
-  if (firstSpawnOfSlot0 && slot.spawns == 0)
-    for (const std::string& a : cfg_.firstWorkerExtraArgs)
-      argv.push_back(a);
-  slot.ch = std::make_unique<PipeChannel>(argv);
+void WorkerFleet::spawnSlot(Slot& slot, bool firstSpawnOfSlot0) {
+  static const std::vector<std::string> kNoExtraArgs;
+  slot.ch = SocketChannel::spawn(
+      cfg_.workerCommand,
+      firstSpawnOfSlot0 && slot.spawns == 0 ? cfg_.firstWorkerExtraArgs
+                                            : kNoExtraArgs,
+      cfg_.metrics);
   ++slot.spawns;
   if (cfg_.metrics) cfg_.metrics->counter("grid.worker.spawns").add();
 }
@@ -504,9 +449,9 @@ void WorkerFleet::channelDied(WorkerChannel* ch, const std::string& why,
     if (slot.ch.get() != ch) continue;
     slot.ch->kill();
     if (slot.spawns > 0 && slot.spawns < cfg_.maxSpawnsPerSlot)
-      spawnPipeSlot(slot, /*firstSpawnOfSlot0=*/false);
+      spawnSlot(slot, /*firstSpawnOfSlot0=*/false);
     else if (slot.spawns > 0)
-      slot.ch.reset();  // retired pipe slot (spawn budget exhausted)
+      slot.ch.reset();  // retired slot (spawn budget exhausted)
     return;
   }
   for (std::size_t k = 0; k < attached_.size(); ++k) {
@@ -587,6 +532,14 @@ void WorkerFleet::onHangup(WorkerChannel* ch, ShardQueue& queue) {
 
 void WorkerFleet::checkDeadlines(ShardQueue& queue) {
   const auto now = Clock::now();
+  // A spawned child that never says hello would hold its slot forever.
+  std::vector<WorkerChannel*> mute;
+  for (const Slot& slot : slots_)
+    if (slot.ch && slot.ch->alive() && slot.ch->awaitingHello() &&
+        slot.ch->lastHeard() + kHelloTimeout <= now)
+      mute.push_back(slot.ch.get());
+  for (WorkerChannel* ch : mute)
+    if (owns(ch)) channelDied(ch, "spawned worker never said hello", queue);
   if (cfg_.shardTimeoutMs > 0) {
     const auto budget = std::chrono::milliseconds(cfg_.shardTimeoutMs);
     // Collect first: channelDied mutates the channel containers.
@@ -619,6 +572,9 @@ std::optional<WorkerFleet::Clock::time_point> WorkerFleet::nextDeadline()
   const auto consider = [&](Clock::time_point c) {
     if (!t || c < *t) t = c;
   };
+  for (const Slot& slot : slots_)
+    if (slot.ch && slot.ch->alive() && slot.ch->awaitingHello())
+      consider(slot.ch->lastHeard() + kHelloTimeout);
   if (cfg_.shardTimeoutMs > 0) {
     const auto budget = std::chrono::milliseconds(cfg_.shardTimeoutMs);
     forEachChannel([&](WorkerChannel* ch) {

@@ -12,20 +12,19 @@
 //   drain()                consume readable bytes, yield ChannelEvents
 //   shutdown()/kill()      graceful / immediate stop
 //
-// Three transports implement it:
+// Two transports implement it:
 //
-//   PipeChannel    a persistent child process (pred-shard-worker serve)
-//                  speaking Shard/ShardResult frames over stdin/stdout
-//                  pipes — the original subprocess path, byte-for-byte
-//                  unchanged on the wire.  One shard in flight; death is
-//                  EOF / POLLHUP / write-EPIPE.
-//   SocketChannel  a remote worker that DIALED IN over tcp/unix and
-//                  handshook (WorkerHello/WorkerWelcome, protocol.h);
-//                  shards flow as ShardAssign/ShardDone with lease ids,
-//                  so `concurrency` shards ride in flight and complete
-//                  out of order.  Death is the same EOF/POLLHUP story —
-//                  a kill -9'd remote worker is indistinguishable from a
-//                  vanished one, and its leases are requeued.
+//   SocketChannel  a worker speaking the attach dialect (protocol.h):
+//                  WorkerHello/WorkerWelcome, then ShardAssign/ShardDone
+//                  with lease ids, so `concurrency` shards ride in flight
+//                  and complete out of order.  Either the worker DIALED IN
+//                  over tcp/unix and the server adopted its handshook fd,
+//                  or the fleet SPAWNED it as a `pred-shard-worker attach`
+//                  child on a socketpair, in which case the hello arrives
+//                  through drain() and the channel owns the child's pid.
+//                  Death is EOF/POLLHUP/write-EPIPE — a kill -9'd worker
+//                  is indistinguishable from a vanished one, and its
+//                  leases are requeued.
 //   LocalChannel   an in-process evaluator thread (the --in-process
 //                  mode); a self-pipe makes completions poll()-able so
 //                  local evaluation multiplexes like any other channel.
@@ -33,12 +32,13 @@
 //                  death — local channels are immortal.
 //
 // A WorkerFleet owns a set of channels and the policies around them:
-// fixed slots (pipe children with a bounded respawn budget, local
-// threads) plus dynamically adopted socket workers, shard dispatch from
-// a ShardQueue, per-shard wall-time deadlines, heartbeat staleness for
-// idle socket workers, and the grid.worker.* counters.
+// fixed slots (spawned children with a bounded respawn budget, local
+// threads) plus dynamically adopted dialed-in workers, shard dispatch
+// from a ShardQueue, per-shard wall-time deadlines, heartbeat staleness
+// for idle dialed-in workers, and the grid.worker.* counters.
 
 #include <poll.h>
+#include <sys/types.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -74,12 +74,15 @@ class WorkerChannel {
 
   virtual ~WorkerChannel() = default;
 
-  virtual const char* kindName() const = 0;  ///< "pipe" | "socket" | "local"
+  virtual const char* kindName() const = 0;  ///< "socket" | "local"
   virtual const std::string& peer() const = 0;
   virtual int pollFd() const = 0;
   virtual bool alive() const = 0;
-  /// Shards this worker runs concurrently (1 for pipe/local).
+  /// Shards this worker runs concurrently (1 for local).
   virtual std::size_t capacity() const { return 1; }
+  /// A spawned worker whose WorkerHello has not been checked yet; it
+  /// takes no lease until then.
+  virtual bool awaitingHello() const { return false; }
   /// Local channels turn transport-layer dispatch faults into failed
   /// attempts instead of channel deaths (there is no transport to kill).
   virtual bool isLocal() const { return false; }
@@ -121,54 +124,52 @@ class WorkerChannel {
   Clock::time_point lastHeard_ = Clock::now();
 };
 
-/// The original subprocess transport: fork+exec `argv` with stdin/stdout
-/// piped, Shard frames out, ShardResult/Error frames back.
-class PipeChannel final : public WorkerChannel {
- public:
-  /// Spawns the child (throws std::runtime_error on pipe/fork failure).
-  explicit PipeChannel(const std::vector<std::string>& argv);
-  ~PipeChannel() override;
-
-  const char* kindName() const override { return "pipe"; }
-  const std::string& peer() const override { return peer_; }
-  int pollFd() const override { return out_.get(); }
-  bool alive() const override { return alive_; }
-
-  void dispatch(std::uint64_t token, const exp::ShardSpec& spec) override;
-  std::vector<ChannelEvent> drain() override;
-  std::vector<ChannelEvent> hangup() override;
-  void shutdown() override;
-  void kill() override;
-
- private:
-  std::vector<ChannelEvent> die(const std::string& why);
-  void reap();
-
-  pid_t pid_ = -1;
-  net::Fd in_;   ///< parent write end -> child stdin
-  net::Fd out_;  ///< parent read end <- child stdout
-  std::string buf_;      ///< incremental frame decode buffer
-  std::size_t off_ = 0;  ///< decode offset into buf_
-  bool alive_ = false;
-  std::string peer_;
+/// What the WorkerHello check decided.  Welcome carries the announced
+/// concurrency; every other kind carries the reason.
+struct HelloVerdict {
+  enum class Kind { Welcome, Malformed, WrongSalt, Unreachable };
+  Kind kind = Kind::Malformed;
+  std::size_t concurrency = 0;
+  std::string why;
 };
 
-/// A remote worker that dialed in and handshook; the server adopts its
-/// accepted fd into one of these.  ShardAssign frames out, ShardDone /
-/// Heartbeat frames back, `concurrency` leases in flight.
+/// The one worker handshake, for dialed-in and spawned workers alike:
+/// parses the WorkerHello `payload`, checks its salt against this build's
+/// kCodeVersionSalt (fingerprint.h), and answers WorkerWelcome or Error
+/// on `fd` (best effort; a failed Welcome write is Unreachable).  A wrong
+/// salt ticks grid.worker.rejected_salt in `metrics` when set.
+HelloVerdict answerWorkerHello(int fd, const std::string& payload,
+                               int timeoutMs,
+                               obs::MetricsRegistry* metrics);
+
+/// A worker speaking the attach dialect: ShardAssign frames out,
+/// ShardDone / Heartbeat frames back, `concurrency` leases in flight.
 class SocketChannel final : public WorkerChannel {
  public:
-  /// `pendingBytes` carries anything read past the WorkerHello frame
-  /// during the handshake (an eager worker may pipeline a heartbeat).
+  /// Adopts a dialed-in worker that already handshook.  `pendingBytes`
+  /// carries anything read past its WorkerHello frame (an eager worker may
+  /// pipeline a heartbeat).
   SocketChannel(net::Fd fd, std::string peer, std::size_t concurrency,
                 std::string pendingBytes = {});
+  /// Forks and execs `command` + {"attach", "fd:N"} + `extraArgs`, where
+  /// N is the child's end of a fresh socketpair.  The child's WorkerHello
+  /// arrives through drain() and is checked there; the channel owns the
+  /// pid (kill() SIGKILLs and reaps, shutdown() reaps after a grace
+  /// period).  Throws std::runtime_error on socketpair/fork failure.
+  static std::unique_ptr<SocketChannel> spawn(
+      const std::vector<std::string>& command,
+      const std::vector<std::string>& extraArgs,
+      obs::MetricsRegistry* metrics);
   ~SocketChannel() override;
 
   const char* kindName() const override { return "socket"; }
   const std::string& peer() const override { return peer_; }
   int pollFd() const override { return fd_.get(); }
   bool alive() const override { return alive_; }
-  std::size_t capacity() const override { return concurrency_; }
+  std::size_t capacity() const override {
+    return awaitingHello_ ? 0 : concurrency_;
+  }
+  bool awaitingHello() const override { return awaitingHello_; }
 
   void dispatch(std::uint64_t token, const exp::ShardSpec& spec) override;
   std::vector<ChannelEvent> drain() override;
@@ -178,6 +179,8 @@ class SocketChannel final : public WorkerChannel {
 
  private:
   std::vector<ChannelEvent> die(const std::string& why);
+  /// SIGKILLs and reaps a spawned child (no-op for dialed-in workers).
+  void reap();
 
   net::Fd fd_;
   std::string peer_;
@@ -185,6 +188,9 @@ class SocketChannel final : public WorkerChannel {
   std::string buf_;
   std::size_t off_ = 0;
   bool alive_ = true;
+  pid_t pid_ = -1;  ///< spawned child, -1 for a dialed-in worker
+  bool awaitingHello_ = false;
+  obs::MetricsRegistry* metrics_ = nullptr;  ///< spawned: salt rejections
 };
 
 /// An in-process evaluator thread behind the same seam: dispatch mails
@@ -234,12 +240,12 @@ class LocalChannel final : public WorkerChannel {
 
 struct FleetConfig {
   /// Fixed subprocess slots (respawned on death up to maxSpawnsPerSlot).
-  int pipeSlots = 0;
+  int spawnSlots = 0;
   /// Fixed in-process evaluator threads (immortal).
   int localSlots = 0;
   /// Evaluator for local slots; required when localSlots > 0.
   ShardEvalFn eval;
-  /// argv prefix for pipe slots; "serve" is appended.
+  /// argv prefix for spawned slots; "attach fd:N" is appended.
   std::vector<std::string> workerCommand;
   /// Extra argv appended to slot 0's FIRST spawn only (fault injection).
   std::vector<std::string> firstWorkerExtraArgs;
@@ -247,7 +253,7 @@ struct FleetConfig {
   /// Per-shard wall-time budget; a channel that exceeds it is killed and
   /// its leases requeued.  0 disables.
   std::uint64_t shardTimeoutMs = 0;
-  /// Staleness bound for IDLE attached socket workers: one that has not
+  /// Staleness bound for IDLE dialed-in workers: one that has not
   /// been heard from (heartbeats count) within this window is treated as
   /// half-open and dropped.  0 disables.
   std::uint64_t idleWorkerTimeoutMs = 0;
@@ -257,7 +263,8 @@ struct FleetConfig {
 
 /// The channel set one driver loop multiplexes, with the policies around
 /// it: dispatch from a ShardQueue, death -> requeue leases + respawn
-/// (pipe) or remove (socket), deadlines, and provenance for stats.
+/// (spawned slot) or remove (dialed-in), deadlines, and provenance for
+/// stats.
 class WorkerFleet {
  public:
   using Clock = WorkerChannel::Clock;
@@ -268,7 +275,7 @@ class WorkerFleet {
   WorkerFleet(const WorkerFleet&) = delete;
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
-  /// Adopts a handshook socket worker into the fleet.
+  /// Adopts a handshook dialed-in worker into the fleet.
   void adopt(std::unique_ptr<WorkerChannel> ch);
 
   std::size_t aliveCount() const;
@@ -311,7 +318,7 @@ class WorkerFleet {
     int spawns = 0;
   };
 
-  void spawnPipeSlot(Slot& slot, bool firstSpawnOfSlot0);
+  void spawnSlot(Slot& slot, bool firstSpawnOfSlot0);
   void handleEvents(WorkerChannel* ch, std::vector<ChannelEvent> events,
                     ShardQueue& queue);
   void channelDied(WorkerChannel* ch, const std::string& why,

@@ -19,7 +19,7 @@
 // fleet view: counters and phases sum, shard entries concatenate (each
 // worker run contributes its self-entry), and wallNs becomes the slowest
 // shard's wall time — the fleet's critical path.  text() renders the human
-// summary scripts/shard_run.sh prints.
+// summary `pred-grid-client stats` prints for a server's last job.
 
 #include <cstdint>
 #include <map>

@@ -114,8 +114,8 @@ class Query {
       std::size_t shards, exp::EngineConfig workerEngine = {}) const;
 
   /// Sharded evaluation: partitions the grid via shardPlan, evaluates each
-  /// shard through `engine` (in-process fan-out; the subprocess fan-out is
-  /// scripts/shard_run.sh over the same specs), and merges the accumulators
+  /// shard through `engine` (in-process fan-out; runDistributed is the
+  /// subprocess fan-out over the same specs), and merges the accumulators
   /// smallest-index-first.  The Finding is identical to run()'s —
   /// value-for-value and witness-for-witness, for any shard count, because
   /// the merge is order-independent (asserted in tests/shard_test.cpp).

@@ -10,14 +10,20 @@
 // treat any store failure as "persistence lost", never a failed job; and
 // the server must drop stalled/injected-EPIPE connections (counted in
 // grid.conn.*) while the daemon keeps serving — including a full
-// stop/restart with the same cache dir answering from disk.
+// stop/restart with the same cache dir answering from disk.  Spawned
+// workers run the built pred-shard-worker as `attach fd:N` children: jobs
+// stay byte-identical, a wrong-salt child is rejected and its slot
+// respawns clean, a child that exits at once retires its slot, and
+// shutdown leaves no child behind.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -142,18 +148,15 @@ TestGrid makeTestGrid() {
   return g;
 }
 
-/// In-process GridServer on a background thread, with the PR 8 knobs
-/// (cacheDir, connTimeoutMs) exposed.
+/// In-process GridServer on a background thread, with the robustness
+/// knobs (cacheDir, connTimeoutMs) exposed.
 class InProcessServer {
  public:
   explicit InProcessServer(const std::string& cacheDir = std::string(),
                            std::uint64_t connTimeoutMs = 30'000,
                            std::size_t cacheEntries = 64,
                            bool workerListen = false) {
-    path_ = uniqueSocketPath();
-    endpointText_ = "unix:" + path_;
     grid::ServerConfig cfg;
-    cfg.endpoint = endpointText_;
     cfg.scheduler.workers = 2;
     cfg.scheduler.retryBackoffMs = 1;
     cfg.cacheEntries = cacheEntries;
@@ -164,9 +167,11 @@ class InProcessServer {
       workerPath_ = uniqueSocketPath();
       cfg.workerEndpoint = "unix:" + workerPath_;
     }
-    server_.emplace(std::move(cfg));
-    thread_ = std::thread([this] { server_->serveForever(); });
+    start(std::move(cfg));
   }
+
+  /// A server built from `cfg` as given, listening on a fresh endpoint.
+  explicit InProcessServer(grid::ServerConfig cfg) { start(std::move(cfg)); }
 
   ~InProcessServer() {
     stop();
@@ -187,6 +192,14 @@ class InProcessServer {
   }
 
  private:
+  void start(grid::ServerConfig cfg) {
+    path_ = uniqueSocketPath();
+    endpointText_ = "unix:" + path_;
+    cfg.endpoint = endpointText_;
+    server_.emplace(std::move(cfg));
+    thread_ = std::thread([this] { server_->serveForever(); });
+  }
+
   std::string path_;
   std::string workerPath_;
   std::string endpointText_;
@@ -760,6 +773,100 @@ TEST(GridServerRobustness, RestartWithCacheDirServesHitFromDisk) {
     EXPECT_EQ(report.counters.at("grid.cache.persist_errors"), 0u);
   }
   second.stop();
+}
+
+// ------------------------------------------------------- spawned workers
+
+/// Two fixed slots spawned as `COMMAND attach fd:N` children of `command`
+/// (the built pred-shard-worker by default), so the real worker binary
+/// speaks the attach dialect over a socketpair.
+grid::ServerConfig spawnedConfig(
+    std::vector<std::string> command = {PRED_SHARD_WORKER}) {
+  grid::ServerConfig cfg;
+  cfg.scheduler.workers = 2;
+  cfg.scheduler.retryBackoffMs = 1;
+  cfg.scheduler.workerCommand = std::move(command);
+  return cfg;
+}
+
+TEST(SpawnedWorkers, JobIsByteIdenticalAndStatsNameTheChildren) {
+  const TestGrid grid = makeTestGrid();
+  InProcessServer fixture(spawnedConfig());
+  {
+    grid::GridClient client(fixture.endpoint());
+    EXPECT_EQ(client.submit(grid.whole, 5).accumulatorText,
+              grid.singleBytes);
+    // Spawned children are socket channels whose peer names the pid, so
+    // stats tells them apart from dialed-in workers.
+    const obs::RunReport stats = client.stats();
+    std::size_t spawnedRows = 0;
+    for (const auto& [name, value] : stats.counters)
+      if (name.find(".socket.spawn:pid=") != std::string::npos)
+        ++spawnedRows;
+    EXPECT_EQ(spawnedRows, 2u);
+    EXPECT_EQ(stats.counters.at("grid.worker.spawns"), 2u);
+    EXPECT_EQ(stats.counters.at("grid.worker.deaths"), 0u);
+    EXPECT_EQ(stats.counters.at("grid.worker.attached"), 0u);
+  }
+  fixture.stop();
+}
+
+TEST(SpawnedWorkers, WrongSaltChildIsRejectedAndItsSlotRespawnsClean) {
+  const TestGrid grid = makeTestGrid();
+  grid::ServerConfig cfg = spawnedConfig();
+  cfg.scheduler.firstWorkerExtraArgs = {"--salt", "bogus"};
+  InProcessServer fixture(std::move(cfg));
+  // Slot 0's first child fails the same salt check a dialed-in worker
+  // faces; its death respawns the slot without the bogus salt.
+  awaitCounter(fixture.server(), "grid.worker.spawns", 3);
+  {
+    grid::GridClient client(fixture.endpoint());
+    EXPECT_EQ(client.submit(grid.whole, 5).accumulatorText,
+              grid.singleBytes);
+  }
+  EXPECT_EQ(counterOf(fixture.server(), "grid.worker.rejected_salt"), 1u);
+  EXPECT_GE(counterOf(fixture.server(), "grid.worker.deaths"), 1u);
+  EXPECT_EQ(counterOf(fixture.server(), "grid.worker.attached"), 0u);
+  fixture.stop();
+}
+
+TEST(SpawnedWorkers, ChildThatExitsAtOnceRetiresItsSlotAndFailsTheJob) {
+  const TestGrid grid = makeTestGrid();
+  grid::ServerConfig cfg = spawnedConfig({"/bin/false"});
+  cfg.scheduler.maxSpawnsPerSlot = 2;
+  InProcessServer fixture(std::move(cfg));
+  {
+    grid::GridClient client(fixture.endpoint());
+    try {
+      client.submit(grid.whole, 3);
+      FAIL() << "a fleet whose every slot is retired must fail the job";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("exhausted"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(counterOf(fixture.server(), "grid.worker.spawns"), 4u);
+  EXPECT_EQ(counterOf(fixture.server(), "grid.worker.deaths"), 4u);
+  fixture.stop();
+}
+
+TEST(SpawnedWorkers, ShutdownLeavesNoChildBehind) {
+  const TestGrid grid = makeTestGrid();
+  grid::ServerConfig cfg = spawnedConfig();
+  cfg.scheduler.firstWorkerExtraArgs = {"--exit-after", "0"};
+  InProcessServer fixture(std::move(cfg));
+  {
+    grid::GridClient client(fixture.endpoint());
+    EXPECT_EQ(client.submit(grid.whole, 5).accumulatorText,
+              grid.singleBytes);
+  }
+  EXPECT_GE(counterOf(fixture.server(), "grid.worker.deaths"), 1u);
+  fixture.stop();
+  // Dead and live children alike were reaped: none is running, none is a
+  // zombie.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace

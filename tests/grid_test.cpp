@@ -166,8 +166,7 @@ TEST(GridFrame, RoundTripsEveryTypeAndDecodesSequentially) {
       grid::FrameType::Submit,       grid::FrameType::Result,
       grid::FrameType::Error,        grid::FrameType::StatsRequest,
       grid::FrameType::StatsReply,   grid::FrameType::Shutdown,
-      grid::FrameType::ShutdownAck,  grid::FrameType::Shard,
-      grid::FrameType::ShardResult,  grid::FrameType::WorkerHello,
+      grid::FrameType::ShutdownAck,  grid::FrameType::WorkerHello,
       grid::FrameType::WorkerWelcome, grid::FrameType::ShardAssign,
       grid::FrameType::ShardDone,    grid::FrameType::Heartbeat,
   };
@@ -208,6 +207,24 @@ TEST(GridFrame, EveryTruncatedPrefixIsNeedMoreBytesNotAnError) {
         std::string_view(whole).substr(0, cut), offset);
     EXPECT_FALSE(f.has_value()) << "cut=" << cut;
     EXPECT_EQ(offset, 0u) << "cut=" << cut;
+  }
+}
+
+TEST(GridFrame, RetiredTypeIdsThrowBeforeAnyPayloadArrives) {
+  // Ids 8 and 9 sit inside [Submit, Heartbeat] but carried the retired
+  // pipe-worker exchange: a header naming either must throw from the
+  // bare header (the promised 16 payload bytes never follow).
+  for (const std::uint8_t retired : {std::uint8_t{8}, std::uint8_t{9}}) {
+    std::string h = "PG";
+    h.push_back(static_cast<char>(grid::kProtocolVersion));
+    h.push_back(static_cast<char>(retired));
+    const std::string len = {0, 0, 0, 16};
+    std::size_t offset = 0;
+    EXPECT_THROW(grid::decodeFrame(h, offset), std::invalid_argument)
+        << int{retired};
+    offset = 0;
+    EXPECT_THROW(grid::decodeFrame(h + len, offset), std::invalid_argument)
+        << int{retired};
   }
 }
 
@@ -299,7 +316,7 @@ TEST(GridFrame, FdReaderHandlesCleanEofAndThrowsOnTruncation) {
 
   // A whole frame, then clean EOF: one successful read, then false.
   const std::string whole =
-      grid::encodeFrame(frameOf(grid::FrameType::Shard, "spec"));
+      grid::encodeFrame(frameOf(grid::FrameType::ShardAssign, "spec"));
   {
     const auto fd = pipeWith(whole);
     grid::Frame f;
@@ -361,22 +378,6 @@ TEST(GridPayloads, JobResultMsgRoundTripsAndRejectsGarbage) {
 
   for (const char* bad : {"", "garbage", "cache-hit maybe\n"}) {
     EXPECT_THROW(grid::parseJobResultMsg(bad), std::invalid_argument) << bad;
-  }
-}
-
-TEST(GridPayloads, ShardResultMsgRoundTripsAndRejectsGarbage) {
-  grid::ShardResultMsg msg;
-  msg.accumulatorText = "acc bytes\nwith newlines\n";
-  msg.reportText = "report bytes\n";
-
-  const auto back =
-      grid::parseShardResultMsg(grid::encodeShardResultMsg(msg));
-  EXPECT_EQ(back.accumulatorText, msg.accumulatorText);
-  EXPECT_EQ(back.reportText, msg.reportText);
-
-  for (const char* bad : {"", "nonsense", "acc 3\nxyz"}) {
-    EXPECT_THROW(grid::parseShardResultMsg(bad), std::invalid_argument)
-        << bad;
   }
 }
 

@@ -4,9 +4,11 @@
 // flags, bind, print the resolved endpoint (scripts wait for that line),
 // serve until a client sends Shutdown.  Two fleet shapes:
 //
-//   subprocess (default)   N persistent `pred-shard-worker serve`
-//                          children over pipes; worker death is detected
-//                          and survived (scheduler retry + respawn)
+//   subprocess (default)   N persistent `pred-shard-worker attach fd:N`
+//                          children, each on its own socketpair and
+//                          salt-checked like a remote worker; worker
+//                          death is detected and survived (scheduler
+//                          retry + respawn)
 //   --in-process           in-process evaluator threads — no fork, handy
 //                          for quick local use and debugging
 //
