@@ -111,26 +111,33 @@ struct GridReport {
   std::string json;
 };
 
-/// Times a 64 x 64 exhaustive matrix on one platform through the naive,
+/// Times a 64-input exhaustive matrix on one platform through the naive,
 /// interpreted-replay, and packed-replay paths — asserted cell-for-cell
-/// identical, timed, and rendered as one JSON grid object.
+/// identical, timed on threads=1 engines, and rendered as one JSON grid
+/// object.  |Q| is the model's own: 64 requested, and platforms that clamp
+/// it (smt-rr has 8 contexts) report and divide by what they built.
 GridReport perfGridFor(const std::string& platform,
                        const cache::CacheGeometry& dataGeom, int reps) {
-  constexpr int kStates = 64;
+  constexpr int kRequestedStates = 64;
   constexpr int kInputs = 64;
+  constexpr int kThreads = 1;  // the baselines are single-core numbers
   bench::printHeader("Replay kernels: " + platform,
-                     "64 x 64 exhaustive grid: naive vs interpreted vs packed");
+                     "64-input exhaustive grid: naive vs interpreted vs "
+                     "packed (threads=1)");
   const auto prog = gridProgram();
   const auto inputs = gridInputs(prog, kInputs);
   exp::PlatformOptions opts;
-  opts.numStates = kStates;
+  opts.numStates = kRequestedStates;
   opts.dataGeom = dataGeom;
   const auto model = exp::PlatformRegistry::instance().make(platform, prog,
                                                             opts);
+  const std::size_t states = model->numStates();
 
   exp::EngineConfig interpCfg;
+  interpCfg.threads = kThreads;
   interpCfg.usePackedReplay = false;
   exp::EngineConfig packedCfg;
+  packedCfg.threads = kThreads;
   exp::ExperimentEngine interp(interpCfg);
   exp::ExperimentEngine packed(packedCfg);
 
@@ -149,7 +156,7 @@ GridReport perfGridFor(const std::string& platform,
                  benchmark::DoNotOptimize(
                      naiveSerialMatrix(*model, prog, inputs).wcet());
                }) /
-      (kStates * kInputs);
+      static_cast<double>(states * kInputs);
   const double interpNs = nsPerCell(interp, *model, prog, inputs, reps);
   // Per-phase breakdown of exactly the timed packed reps: the engine's
   // cumulative report delta over the measurement window.
@@ -170,7 +177,7 @@ GridReport perfGridFor(const std::string& platform,
   bench::printKV("speedup packed vs naive", buf);
 
   bench::JsonObject grid;
-  grid.field("states", kStates).field("inputs", kInputs);
+  grid.field("states", static_cast<int>(states)).field("inputs", kInputs);
   bench::JsonObject geom;
   geom.field("line_words", static_cast<int>(dataGeom.lineWords))
       .field("sets", static_cast<int>(dataGeom.numSets))
@@ -198,8 +205,16 @@ GridReport perfGridFor(const std::string& platform,
       .rawField("grid", grid.str())
       .rawField("data_geom", geom.str())
       .rawField("bit_identical", identical ? "true" : "false")
+      .field("threads", kThreads)
       .rawField("ns_per_cell", cells.str())
       .rawField("speedup", speedup.str())
+      // Per-set state classes the packed column replay ran, and the
+      // columns it timed state by state instead, summed over every packed
+      // run of this grid.
+      .field("state_classes",
+             packed.metrics().counter("engine.state_classes").value())
+      .field("state_fallback",
+             packed.metrics().counter("engine.state_fallback").value())
       // Trace-equivalence stats: classes among this grid's 64 inputs (the
       // store assigns class ids as it fills, collapse on or off), and how
       // many cell evaluations the engine actually skipped here (zero on
@@ -226,17 +241,23 @@ std::string collapseGrid(bool* identical, int reps) {
   const std::string platform = "inorder-lru";
   const std::string workload = "linearsearch-16x64-dup";
   bench::printHeader("Trace-class collapse",
-                     "64 x 64 duplicate-heavy grid: collapse off vs on");
+                     "64 x 64 duplicate-heavy grid: collapse off vs on "
+                     "(threads=1)");
   const auto w = study::WorkloadRegistry::instance().make(workload);
   exp::PlatformOptions opts;
   opts.numStates = kStates;
   const auto model =
       exp::PlatformRegistry::instance().make(platform, w.program, opts);
 
+  // threads=1, like every gated grid: with replay this cheap, a
+  // hardware-concurrency walk times pool wake-ups more than collapse.
   exp::EngineConfig offCfg;
+  offCfg.threads = 1;
   offCfg.collapseTraceClasses = false;
   exp::ExperimentEngine off(offCfg);
-  exp::ExperimentEngine on;  // defaults: packed replay + collapse, both on
+  exp::EngineConfig onCfg;  // packed replay + collapse, both on
+  onCfg.threads = 1;
+  exp::ExperimentEngine on(onCfg);
 
   const auto accOff = off.reduceCells(*model, w.program, w.inputs);
   const auto before = on.metrics().counter("engine.cells_collapsed").value();
@@ -280,6 +301,7 @@ std::string collapseGrid(bool* identical, int reps) {
   obj.field("workload", workload)
       .field("platform", platform)
       .rawField("grid", gridShape.str())
+      .field("threads", onCfg.threads)
       .field("trace_classes", static_cast<std::uint64_t>(classes))
       .field("cells_collapsed_per_sweep", collapsedPerSweep)
       .rawField("bit_identical", same ? "true" : "false")
@@ -540,21 +562,25 @@ std::string attachedThroughputGrid(bool* identical) {
   return obj.str();
 }
 
-/// The acceptance grids of the replay-kernel layer — the additive in-order
-/// fast path AND the cycle-accurate OOO kernel path — recorded in one
-/// BENCH_exhaustive.json that scripts/bench_run.sh gates per grid.
+/// The acceptance grids of the replay-kernel layer — the per-set column
+/// replay of the in-order models, the cycle-accurate OOO kernel path and
+/// the event-driven SMT kernel — recorded in one BENCH_exhaustive.json
+/// that scripts/bench_run.sh gates per grid.
 ///
 /// The in-order grid keeps the PR-3 configuration (default tiny cache) so
 /// its ns/cell stays comparable with the recorded baselines.  The OOO grid
 /// uses a realistic 64-set x 4-way data cache: the OOO models' legacy path
 /// deep-copies the cache per cell, so the tiny default geometry would
-/// understate exactly the cost the packed snapshot replay removes.
+/// understate exactly the cost the packed snapshot replay removes.  The
+/// SMT grid has no cache to size; its |Q| is the 8 co-runner contexts.
 void perfGrid(const char* argv0) {
   const int reps = 5;
   const auto inorder =
       perfGridFor("inorder-lru", exp::PlatformOptions{}.dataGeom, reps);
   const auto ooo =
       perfGridFor("ooo-fifo", cache::CacheGeometry{4, 64, 4}, reps);
+  const auto smt =
+      perfGridFor("smt-rr", exp::PlatformOptions{}.dataGeom, reps);
   bool shardedIdentical = false;
   const std::string sharded = shardedThroughputGrid(&shardedIdentical);
   bool attachedIdentical = false;
@@ -580,14 +606,17 @@ void perfGrid(const char* argv0) {
     }
   }
   bench::JsonObject grids;
-  grids.rawField("inorder-lru", inorder.json).rawField("ooo-fifo", ooo.json);
+  grids.rawField("inorder-lru", inorder.json)
+      .rawField("ooo-fifo", ooo.json)
+      .rawField("smt-rr", smt.json);
   bench::JsonObject root;
   root.field("bench", std::string("exhaustive"))
       .field("threads", exp::ExperimentEngine().resolvedThreads())
       .field("cores", static_cast<int>(std::thread::hardware_concurrency()))
       .rawField("metrics_enabled", obs::compiledIn() ? "true" : "false")
       .rawField("bit_identical",
-                inorder.identical && ooo.identical && shardedIdentical &&
+                inorder.identical && ooo.identical && smt.identical &&
+                        shardedIdentical &&
                         attachedIdentical && collapseIdentical &&
                         coldIdentical
                     ? "true"

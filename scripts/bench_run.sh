@@ -6,12 +6,14 @@
 #
 # Usage:  scripts/bench_run.sh [--smoke] [build-dir]   (default: build)
 #   --smoke   regression gate (the CI perf-smoke job), applied to EVERY
-#             grid recorded in the JSON (inorder-lru and ooo-fifo): fail
-#             when
+#             grid in bench/perf_baseline.json (inorder-lru, ooo-fifo and
+#             smt-rr): fail when
 #             * the bench was built with PRED_OBS_DISABLED (the gate's
 #               whole point is that ns/cell holds WITH the observability
 #               layer recording; a metrics-off number proves nothing), or
 #             * the bench reports non-bit-identical matrices, or
+#             * a grid ran at any thread count other than 1 (its baseline
+#               is a single-core number), or
 #             * a grid's packed ns/cell exceeds PERF_SMOKE_FACTOR (default
 #               2.0) x that grid's entry in bench/perf_baseline.json, or
 #             * a grid's packed-vs-interpreted speedup falls below
@@ -27,8 +29,9 @@
 #               falls below attached.min_cells_per_sec /
 #               PERF_SMOKE_FACTOR, or
 #             * the trace-class collapse grid (the duplicate-heavy
-#               linearsearch-16x64-dup preset) is missing, not
-#               bit-identical to the uncollapsed run, reports as many
+#               linearsearch-16x64-dup preset) is missing, ran at any
+#               thread count other than 1, is not bit-identical to the
+#               uncollapsed run, reports as many
 #               trace classes as inputs (collapse enabled but inert),
 #               beats the uncollapsed path by less than
 #               collapse.min_speedup, or exceeds PERF_SMOKE_FACTOR x
@@ -88,6 +91,10 @@ for name, base in baseline["grids"].items():
         continue
     if not grid.get("bit_identical", False):
         print(f"FAIL: {name}: matrices are not bit-identical")
+        failed = True
+    if grid.get("threads") != 1:
+        print(f"FAIL: {name}: ran at threads={grid.get('threads')}; the "
+              "baseline pins threads=1")
         failed = True
 
     packed = grid["ns_per_cell"]["packed"]
@@ -154,6 +161,10 @@ else:
     if not collapse.get("bit_identical", False):
         print("FAIL: collapse: collapsed accumulator differs from the "
               "uncollapsed run")
+        failed = True
+    if collapse.get("threads") != 1:
+        print(f"FAIL: collapse: ran at threads={collapse.get('threads')}; "
+              "the baseline pins threads=1")
         failed = True
     classes = collapse["trace_classes"]
     inputs = collapse["grid"]["inputs"]

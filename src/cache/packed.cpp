@@ -1,5 +1,7 @@
 #include "cache/packed.h"
 
+#include <algorithm>
+
 namespace pred::cache {
 
 void PackedCacheSim::load(const PackedCacheState& snapshot) {
@@ -18,6 +20,15 @@ void PackedCacheSim::load(const PackedCacheState& snapshot) {
   meta_.assign(snapshot.meta.begin(), snapshot.meta.end());
   hits_ = 0;
   misses_ = 0;
+}
+
+void PackedCacheSim::loadSet(const PackedCacheState& snapshot,
+                             std::size_t set) {
+  const auto ways = static_cast<std::size_t>(ways_);
+  std::copy_n(snapshot.tags.begin() + static_cast<std::ptrdiff_t>(set * ways),
+              ways, tags_.begin() + static_cast<std::ptrdiff_t>(set * ways));
+  valid_[set] = snapshot.valid[set];
+  meta_[set] = snapshot.meta[set];
 }
 
 void PackedCacheSim::resetContents(const PackedCacheState& snapshot) {

@@ -81,9 +81,31 @@ class PackedCacheSim {
   void resetContents(const PackedCacheState& snapshot);
 
   /// One access with SetAssocCache::access semantics (allocate-on-miss,
-  /// policy touch on hit and fill).  Defined inline below — this is the
-  /// innermost statement of the exhaustive Q×I loop.
-  AccessResult access(std::int64_t wordAddr);
+  /// policy touch on hit and fill).  Inline, with its two halves below —
+  /// this is the innermost statement of the exhaustive Q×I loop.
+  AccessResult access(std::int64_t wordAddr) {
+    const Slot slot = locate(wordAddr);
+    return accessLine(slot.set, slot.line);
+  }
+
+  /// Where access() files a word address: its line (which is also the tag)
+  /// and its set, by the strength-reduced or the division mapping exactly
+  /// as access() picks between them.
+  struct Slot {
+    std::int64_t line;
+    std::size_t set;
+  };
+  Slot locate(std::int64_t wordAddr) const;
+
+  /// The second half of access(): one access to `line` in `set`.  Per-set
+  /// replay buckets a stream with locate() once and then replays each
+  /// set's sub-stream through this.
+  AccessResult accessLine(std::size_t set, std::int64_t line);
+
+  /// Overwrites one set (its tags, valid mask and meta word) with that set
+  /// of `snapshot`, which must share the loaded geometry and policy.  The
+  /// other sets, the counters and the RANDOM xorshift state are untouched.
+  void loadSet(const PackedCacheState& snapshot, std::size_t set);
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -188,17 +210,19 @@ inline int PackedCacheSim::chooseVictim(std::size_t set) {
   return 0;
 }
 
-inline AccessResult PackedCacheSim::access(std::int64_t wordAddr) {
-  std::int64_t line, setIdx;
+inline PackedCacheSim::Slot PackedCacheSim::locate(
+    std::int64_t wordAddr) const {
   if (pow2_ && wordAddr >= 0) {
-    line = wordAddr >> lineShift_;
-    setIdx = line & setMask_;
-  } else {
-    line = geometry_.lineOf(wordAddr);
-    setIdx = geometry_.setOf(wordAddr);
+    const std::int64_t line = wordAddr >> lineShift_;
+    return Slot{line, static_cast<std::size_t>(line & setMask_)};
   }
+  return Slot{geometry_.lineOf(wordAddr),
+              static_cast<std::size_t>(geometry_.setOf(wordAddr))};
+}
+
+inline AccessResult PackedCacheSim::accessLine(std::size_t set,
+                                               std::int64_t line) {
   const std::int64_t tag = line;  // tagOf == lineOf (geometry.h)
-  const auto set = static_cast<std::size_t>(setIdx);
   const std::size_t base = set * static_cast<std::size_t>(ways_);
   const std::uint64_t vmask = valid_[set];
   for (int w = 0; w < ways_; ++w) {

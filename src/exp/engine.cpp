@@ -1,6 +1,7 @@
 #include "exp/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -82,6 +83,8 @@ ExperimentEngine::ExperimentEngine(EngineConfig config) : config_(config) {
   cCells_ = &metrics_.counter("engine.cells");
   cTraceClasses_ = &metrics_.counter("engine.trace_classes");
   cCellsCollapsed_ = &metrics_.counter("engine.cells_collapsed");
+  cStateClasses_ = &metrics_.counter("engine.state_classes");
+  cStateFallback_ = &metrics_.counter("engine.state_fallback");
   pResolve_ = &metrics_.phase("resolve");
   pReplayPacked_ = &metrics_.phase("replay.packed");
   pReplayInterp_ = &metrics_.phase("replay.interpreted");
@@ -126,31 +129,71 @@ std::vector<ReplayProgram> ExperimentEngine::compileLocal(
   return compiled;
 }
 
-void ExperimentEngine::runGrid(
-    std::size_t numStates, std::size_t numInputs, obs::PhaseAccum* phase,
-    const std::function<void(std::size_t, std::size_t, int)>& cell) const {
-  if (numStates == 0 || numInputs == 0) return;
+void ExperimentEngine::runGrid(const std::vector<Walk>& walks,
+                               obs::PhaseAccum* phase,
+                               const ColumnSink& sink) const {
+  // Prefix offsets flatten every walk's tiles into one work list; the
+  // owning walk of tile k is recovered by binary search.
+  std::vector<std::size_t> tileOffset(walks.size() + 1, 0);
+  std::vector<std::size_t> tilesI(walks.size(), 0);
+  const auto tileUp = [&](std::size_t width) {
+    for (std::size_t w = 0; w < walks.size(); ++w) {
+      const Walk& walk = walks[w];
+      const std::size_t tilesQ =
+          (walk.qEnd - walk.qBegin + config_.tileStates - 1) /
+          config_.tileStates;
+      tilesI[w] = (walk.columns.size() + width - 1) / width;
+      tileOffset[w + 1] = tileOffset[w] + tilesQ * tilesI[w];
+    }
+  };
+  // Tiles span many states, so a narrow grid can have fewer tiles than
+  // workers: narrow the tiles along the input axis (never the state axis,
+  // where the model shares work) until every worker has one, or a tile is
+  // one column wide.
+  std::size_t width = config_.tileInputs;
+  tileUp(width);
+  const auto workers = static_cast<std::size_t>(resolvedThreads());
+  while (width > 1 && tileOffset.back() < workers) {
+    width = (width + 1) / 2;
+    tileUp(width);
+  }
+  if (tileOffset.back() == 0) return;
   cGridWalks_->add();
-  const std::size_t tilesQ =
-      (numStates + config_.tileStates - 1) / config_.tileStates;
-  const std::size_t tilesI =
-      (numInputs + config_.tileInputs - 1) / config_.tileInputs;
   obs::Span span(phase);
   WorkerPool::shared().run(
-      tilesQ * tilesI, resolvedThreads(),
+      tileOffset.back(), resolvedThreads(),
       [&](std::size_t tile, int worker) {
-        const std::size_t q0 = (tile / tilesI) * config_.tileStates;
-        const std::size_t i0 = (tile % tilesI) * config_.tileInputs;
-        const std::size_t q1 = std::min(numStates, q0 + config_.tileStates);
-        const std::size_t i1 = std::min(numInputs, i0 + config_.tileInputs);
-        for (std::size_t q = q0; q < q1; ++q) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            cell(q, i, worker);
+        const auto w = static_cast<std::size_t>(
+            std::upper_bound(tileOffset.begin(), tileOffset.end(), tile) -
+            tileOffset.begin() - 1);
+        const Walk& walk = walks[w];
+        const std::size_t local = tile - tileOffset[w];
+        const std::size_t q0 =
+            walk.qBegin + (local / tilesI[w]) * config_.tileStates;
+        const std::size_t c0 = (local % tilesI[w]) * width;
+        const std::size_t q1 = std::min(walk.qEnd, q0 + config_.tileStates);
+        const std::size_t c1 = std::min(walk.columns.size(), c0 + width);
+        const bool packed = walk.compiled != nullptr && !walk.compiled->empty();
+        thread_local std::vector<Cycles> times;
+        times.resize(q1 - q0);
+        ColumnStats stats;
+        for (std::size_t c = c0; c < c1; ++c) {
+          const std::size_t i = walk.columns[c];
+          if (packed) {
+            stats += walk.model->timePackedStates(*(*walk.compiled)[i], q0,
+                                                  q1, times.data());
+          } else {
+            for (std::size_t q = q0; q < q1; ++q) {
+              times[q - q0] = walk.model->time(q, *(*walk.traces)[i]);
+            }
           }
+          sink(w, c, q0, times.data(), q1 - q0, worker);
         }
-        // One relaxed add per tile keeps the cell loop untouched.
+        // One relaxed add per counter per tile keeps the columns untouched.
         cTiles_->add();
-        cCells_->add((q1 - q0) * (i1 - i0));
+        cCells_->add((q1 - q0) * (c1 - c0));
+        cStateClasses_->add(stats.stateClasses);
+        cStateFallback_->add(stats.fallbackColumns);
       },
       &util_);
 }
@@ -160,12 +203,14 @@ core::TimingMatrix ExperimentEngine::matrixImpl(
     const std::vector<const ReplayProgram*>& compiled) const {
   cMatrixBuilds_->add();
   core::TimingMatrix m(model.numStates(), traces.size());
-  const bool packed = !compiled.empty();
-  runGrid(m.numStates(), m.numInputs(),
-          packed ? pReplayPacked_ : pReplayInterp_,
-          [&](std::size_t q, std::size_t i, int) {
-            m.at(q, i) = packed ? model.timePacked(q, *compiled[i])
-                                : model.time(q, *traces[i]);
+  std::vector<Walk> walks(1);
+  walks[0] = Walk{&model, &traces, &compiled, 0, m.numStates(), {}};
+  walks[0].columns.resize(m.numInputs());
+  std::iota(walks[0].columns.begin(), walks[0].columns.end(), 0);
+  runGrid(walks, compiled.empty() ? pReplayInterp_ : pReplayPacked_,
+          [&](std::size_t, std::size_t i, std::size_t q0, const Cycles* t,
+              std::size_t n, int) {
+            for (std::size_t k = 0; k < n; ++k) m.at(q0 + k, i) = t[k];
           });
   return m;
 }
@@ -177,7 +222,6 @@ core::StreamingMeasures ExperimentEngine::reduceImpl(
     std::size_t qEnd, std::size_t iBegin, std::size_t iEnd) const {
   const std::size_t nQ = model.numStates();
   const std::size_t nI = traces.size();
-  const bool packed = !compiled.empty();
   // One accumulator per worker slot, merged in slot order afterwards; the
   // smallest-index tie-break makes the merged result independent of which
   // worker saw which tile.  Accumulators carry the FULL shape even when
@@ -186,6 +230,9 @@ core::StreamingMeasures ExperimentEngine::reduceImpl(
   const int workers = std::max(resolvedThreads(), 1);
   std::vector<core::StreamingMeasures> accs(
       static_cast<std::size_t>(workers), core::StreamingMeasures(nQ, nI));
+  std::vector<Walk> walks(1);
+  walks[0] = Walk{&model, &traces, &compiled, qBegin, qEnd, {}};
+  std::vector<std::vector<std::size_t>> groups;
   if (classIds != nullptr) {
     // Collapsed walk: one column per trace-equivalence class in the input
     // range.  The representative (smallest member) is timed; addEqual fans
@@ -193,34 +240,29 @@ core::StreamingMeasures ExperimentEngine::reduceImpl(
     // per-member walk would have produced.  Equal traces replay to equal
     // times on every deterministic model — also for shard ranges that pick
     // a different in-range representative of the same global class.
-    const auto groups = groupByClass(*classIds, iBegin, iEnd);
+    groups = groupByClass(*classIds, iBegin, iEnd);
     cTraceClasses_->add(groups.size());
     cCellsCollapsed_->add((qEnd - qBegin) *
                           ((iEnd - iBegin) - groups.size()));
-    runGrid(qEnd - qBegin, groups.size(),
-            packed ? pReplayPacked_ : pReplayInterp_,
-            [&](std::size_t dq, std::size_t c, int worker) {
-              const std::size_t q = qBegin + dq;
-              const auto& members = groups[c];
-              const std::size_t rep = members.front();
-              const core::Cycles t = packed
-                                         ? model.timePacked(q, *compiled[rep])
-                                         : model.time(q, *traces[rep]);
-              accs[static_cast<std::size_t>(worker)].addEqual(
-                  q, members.data(), members.size(), t);
-            });
+    for (const auto& members : groups) {
+      walks[0].columns.push_back(members.front());
+    }
   } else {
-    runGrid(qEnd - qBegin, iEnd - iBegin,
-            packed ? pReplayPacked_ : pReplayInterp_,
-            [&](std::size_t dq, std::size_t di, int worker) {
-              const std::size_t q = qBegin + dq;
-              const std::size_t i = iBegin + di;
-              const core::Cycles t = packed
-                                         ? model.timePacked(q, *compiled[i])
-                                         : model.time(q, *traces[i]);
-              accs[static_cast<std::size_t>(worker)].add(q, i, t);
-            });
+    walks[0].columns.resize(iEnd - iBegin);
+    std::iota(walks[0].columns.begin(), walks[0].columns.end(), iBegin);
   }
+  runGrid(walks, compiled.empty() ? pReplayInterp_ : pReplayPacked_,
+          [&](std::size_t, std::size_t c, std::size_t q0, const Cycles* t,
+              std::size_t n, int worker) {
+            auto& acc = accs[static_cast<std::size_t>(worker)];
+            for (std::size_t k = 0; k < n; ++k) {
+              if (classIds != nullptr) {
+                acc.addEqual(q0 + k, groups[c].data(), groups[c].size(), t[k]);
+              } else {
+                acc.add(q0 + k, walks[0].columns[c], t[k]);
+              }
+            }
+          });
   obs::Span mergeSpan(pMerge_);
   core::StreamingMeasures total = std::move(accs.front());
   for (std::size_t w = 1; w < accs.size(); ++w) total.merge(accs[w]);
@@ -276,43 +318,30 @@ core::StreamingMeasures ExperimentEngine::reduceCells(
 std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
     const std::vector<GridSpec>& grids) {
   const std::size_t nGrids = grids.size();
-
   const bool collapse = config_.collapseTraceClasses;
 
   /// Per-grid evaluation context, resolved up front so the cell pass is a
   /// pure walk.
   struct Prepared {
     bool packed = false;
-    std::size_t nQ = 0, nI = 0;
-    /// Walked input-axis columns: trace classes when collapsing, inputs
-    /// otherwise.
-    std::size_t nCols = 0;
-    std::size_t tilesI = 0;
     std::vector<const isa::Trace*> traces;
     std::vector<const ReplayProgram*> compiled;
     std::vector<std::uint32_t> classIds;
     std::vector<std::vector<std::size_t>> groups;
   };
   std::vector<Prepared> prep(nGrids);
-  // Prefix offsets flatten the per-grid item lists into single global work
-  // lists; the owning grid of item k is recovered by binary search.
+  // Prefix offsets flatten the per-grid inputs into one resolve work list;
+  // the owning grid of item k is recovered by binary search.
   std::vector<std::size_t> inputOffset(nGrids + 1, 0);
   for (std::size_t g = 0; g < nGrids; ++g) {
     Prepared& p = prep[g];
+    const std::size_t nI = grids[g].inputs->size();
     p.packed = packedPath(*grids[g].model);
-    p.nQ = grids[g].model->numStates();
-    p.nI = grids[g].inputs->size();
-    p.traces.assign(p.nI, nullptr);
-    if (p.packed) p.compiled.assign(p.nI, nullptr);
-    if (collapse) p.classIds.assign(p.nI, 0);
-    inputOffset[g + 1] = inputOffset[g] + p.nI;
+    p.traces.assign(nI, nullptr);
+    if (p.packed) p.compiled.assign(nI, nullptr);
+    if (collapse) p.classIds.assign(nI, 0);
+    inputOffset[g + 1] = inputOffset[g] + nI;
   }
-  const auto gridOf = [](const std::vector<std::size_t>& offsets,
-                         std::size_t k) {
-    return static_cast<std::size_t>(
-        std::upper_bound(offsets.begin(), offsets.end(), k) -
-        offsets.begin() - 1);
-  };
 
   // Pass 1: resolve (and memoize) every grid's traces and compiled forms —
   // all (grid, input) pairs as one pool work list.
@@ -321,7 +350,9 @@ std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
     WorkerPool::shared().run(
         inputOffset.back(), resolvedThreads(),
         [&](std::size_t k, int) {
-          const std::size_t g = gridOf(inputOffset, k);
+          const auto g = static_cast<std::size_t>(
+              std::upper_bound(inputOffset.begin(), inputOffset.end(), k) -
+              inputOffset.begin() - 1);
           const std::size_t i = k - inputOffset[g];
           const auto& input = (*grids[g].inputs)[i];
           if (prep[g].packed) {
@@ -344,21 +375,23 @@ std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
   // fold into per-(worker, grid) accumulators; the smallest-index tie-break
   // makes the merge below independent of which worker saw which tile, so
   // values and witnesses equal the grid-by-grid reduceCells results.
-  std::vector<std::size_t> tileOffset(nGrids + 1, 0);
+  std::vector<Walk> walks(nGrids);
   for (std::size_t g = 0; g < nGrids; ++g) {
     Prepared& p = prep[g];
+    const std::size_t nQ = grids[g].model->numStates();
+    const std::size_t nI = p.traces.size();
+    walks[g] = Walk{grids[g].model, &p.traces, &p.compiled, 0, nQ, {}};
     if (collapse) {
-      p.groups = groupByClass(p.classIds, 0, p.nI);
-      p.nCols = p.groups.size();
-      cTraceClasses_->add(p.nCols);
-      cCellsCollapsed_->add(p.nQ * (p.nI - p.nCols));
+      p.groups = groupByClass(p.classIds, 0, nI);
+      for (const auto& members : p.groups) {
+        walks[g].columns.push_back(members.front());
+      }
+      cTraceClasses_->add(p.groups.size());
+      cCellsCollapsed_->add(nQ * (nI - p.groups.size()));
     } else {
-      p.nCols = p.nI;
+      walks[g].columns.resize(nI);
+      std::iota(walks[g].columns.begin(), walks[g].columns.end(), 0);
     }
-    const std::size_t tilesQ =
-        (p.nQ + config_.tileStates - 1) / config_.tileStates;
-    p.tilesI = (p.nCols + config_.tileInputs - 1) / config_.tileInputs;
-    tileOffset[g + 1] = tileOffset[g] + tilesQ * p.tilesI;
   }
   const int workers = std::max(resolvedThreads(), 1);
   std::vector<std::vector<core::StreamingMeasures>> accs;
@@ -367,49 +400,25 @@ std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
     std::vector<core::StreamingMeasures> mine;
     mine.reserve(nGrids);
     for (std::size_t g = 0; g < nGrids; ++g) {
-      mine.emplace_back(prep[g].nQ, prep[g].nI);
+      mine.emplace_back(walks[g].qEnd, prep[g].traces.size());
     }
     accs.push_back(std::move(mine));
   }
-  if (tileOffset.back() > 0) cGridWalks_->add();
-  {
-    obs::Span span(tileOffset.back() > 0 ? pReplayBatched_ : nullptr);
-    WorkerPool::shared().run(
-        tileOffset.back(), workers,
-        [&](std::size_t tile, int worker) {
-          const std::size_t g = gridOf(tileOffset, tile);
-          const Prepared& p = prep[g];
-          const std::size_t local = tile - tileOffset[g];
-          const std::size_t q0 = (local / p.tilesI) * config_.tileStates;
-          const std::size_t i0 = (local % p.tilesI) * config_.tileInputs;
-          const std::size_t q1 = std::min(p.nQ, q0 + config_.tileStates);
-          const std::size_t i1 = std::min(p.nCols, i0 + config_.tileInputs);
-          const TimingModel& model = *grids[g].model;
-          auto& acc = accs[static_cast<std::size_t>(worker)][g];
-          for (std::size_t q = q0; q < q1; ++q) {
-            for (std::size_t i = i0; i < i1; ++i) {
+  runGrid(walks, pReplayBatched_,
+          [&](std::size_t g, std::size_t c, std::size_t q0, const Cycles* t,
+              std::size_t n, int worker) {
+            auto& acc = accs[static_cast<std::size_t>(worker)][g];
+            for (std::size_t k = 0; k < n; ++k) {
               if (collapse) {
-                // Column i is a trace class: time its representative once
-                // and fan out to every member input.
-                const auto& members = p.groups[i];
-                const std::size_t rep = members.front();
-                const core::Cycles t =
-                    p.packed ? model.timePacked(q, *p.compiled[rep])
-                             : model.time(q, *p.traces[rep]);
-                acc.addEqual(q, members.data(), members.size(), t);
+                // Column c is a trace class: its representative's time
+                // fans out to every member input.
+                const auto& members = prep[g].groups[c];
+                acc.addEqual(q0 + k, members.data(), members.size(), t[k]);
               } else {
-                const core::Cycles t =
-                    p.packed ? model.timePacked(q, *p.compiled[i])
-                             : model.time(q, *p.traces[i]);
-                acc.add(q, i, t);
+                acc.add(q0 + k, c, t[k]);
               }
             }
-          }
-          cTiles_->add();
-          cCells_->add((q1 - q0) * (i1 - i0));
-        },
-        &util_);
-  }
+          });
 
   obs::Span mergeSpan(pMerge_);
   std::vector<core::StreamingMeasures> out;

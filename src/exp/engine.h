@@ -20,11 +20,16 @@
 //                    grid form a single work list, so a scenario sweep of
 //                    small grids stops paying a pool barrier per query.
 //
-// The per-cell evaluator routes through the model's packed replay fast path
-// (compiled traces + flat cache snapshots, exp/replay.h) whenever the model
-// supports it; EngineConfig::usePackedReplay forces the legacy interpreted
-// path, which benches use to measure the speedup.  Both paths are
-// bit-identical (asserted in tests).
+// One tile walker (runGrid) serves all three.  It hands each tile to the
+// model as columns — one input (or trace class) × the tile's state range —
+// through TimingModel::timePackedStates, so a model that shares work
+// across the states of a column (the in-order per-set replay) shares it
+// over a whole tile; the default tile spans |Q| = 64.  The packed path
+// (compiled traces + flat cache snapshots, exp/replay.h) is taken whenever
+// the model supports it; EngineConfig::usePackedReplay forces the legacy
+// interpreted time(q, trace) path, the oracle the benches and the
+// differential tests measure it against.  Both paths are bit-identical
+// (asserted in tests).
 //
 // Orthogonally, the streaming reductions collapse the INPUT axis before
 // walking it (EngineConfig::collapseTraceClasses): inputs whose functional
@@ -58,8 +63,14 @@ struct EngineConfig {
   /// Worker threads; 0 = hardware concurrency, 1 = serial (no pool use).
   int threads = 0;
   /// Tile shape (states x inputs per work item).  Purely a scheduling
-  /// granularity knob; never affects results.
-  std::size_t tileStates = 4;
+  /// granularity knob; never affects results.  A tile reaches the model as
+  /// tileInputs columns of tileStates states each
+  /// (TimingModel::timePackedStates), and a model that shares work across
+  /// the states of a column shares it within one tile, so the default
+  /// spans a whole |Q| = 64 grid.  tileInputs is an upper bound: when a
+  /// walk has fewer tiles than workers, the walker narrows its tiles along
+  /// the input axis.
+  std::size_t tileStates = 64;
   std::size_t tileInputs = 8;
   /// Evaluate through the model's packed replay fast path when available.
   /// Never affects results (bit-identity is asserted in tests); off forces
@@ -185,15 +196,37 @@ class ExperimentEngine {
   obs::RunReport report() const;
 
  private:
-  /// Tiled parallel walk over the grid; cell(q, i, worker) is invoked
-  /// exactly once per cell, worker ids are dense in [0, resolvedThreads()).
-  /// The walk's wall time is recorded into `phase` (pass nullptr to skip);
-  /// tiles/cells counters tick once per TILE, never per cell, so the
-  /// accounting stays off the per-cell hot path.
-  void runGrid(std::size_t numStates, std::size_t numInputs,
-               obs::PhaseAccum* phase,
-               const std::function<void(std::size_t, std::size_t, int)>& cell)
-      const;
+  /// One rectangle of a tiled walk: a model, the resolved forms of its
+  /// grid's traces (globally indexed), a state range, and per walked
+  /// column the input that is timed — a trace class's representative, or
+  /// the input itself.
+  struct Walk {
+    const TimingModel* model = nullptr;
+    const std::vector<const isa::Trace*>* traces = nullptr;
+    /// Empty selects the interpreted time(q, trace) path.
+    const std::vector<const ReplayProgram*>* compiled = nullptr;
+    std::size_t qBegin = 0;
+    std::size_t qEnd = 0;
+    std::vector<std::size_t> columns;
+  };
+
+  /// Receives one evaluated column of a tile: times[k] = T(q0 + k, the
+  /// column's input) for k < n.
+  using ColumnSink =
+      std::function<void(std::size_t walk, std::size_t column, std::size_t q0,
+                         const Cycles* times, std::size_t n, int worker)>;
+
+  /// THE tiled parallel walk, over the union of every walk's cells.  A
+  /// tile is up to tileInputs columns x tileStates states of one walk; each
+  /// column is timed in one TimingModel::timePackedStates call (or per
+  /// state on the interpreted path) and handed to `sink` exactly once.
+  /// Worker ids are dense in [0, resolvedThreads()).  The wall time goes
+  /// into `phase` (nullptr skips it); the tiles, cells, state_classes and
+  /// state_fallback counters tick once per TILE, never per cell, so the
+  /// accounting stays off the per-cell hot path.  Counts one grid walk
+  /// when there is any cell.
+  void runGrid(const std::vector<Walk>& walks, obs::PhaseAccum* phase,
+               const ColumnSink& sink) const;
 
   core::TimingMatrix matrixImpl(const TimingModel& model,
                                 const std::vector<const isa::Trace*>& traces,
@@ -250,6 +283,8 @@ class ExperimentEngine {
   obs::Counter* cCells_;
   obs::Counter* cTraceClasses_;
   obs::Counter* cCellsCollapsed_;
+  obs::Counter* cStateClasses_;
+  obs::Counter* cStateFallback_;
   obs::PhaseAccum* pResolve_;
   obs::PhaseAccum* pReplayPacked_;
   obs::PhaseAccum* pReplayInterp_;

@@ -1,6 +1,7 @@
 #include "exp/platform.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -22,6 +23,61 @@ Cycles TimingModel::timePacked(std::size_t, const ReplayProgram&) const {
   throw std::logic_error("model '" + name() +
                          "' does not support packed replay");
 }
+
+ColumnStats TimingModel::timePackedStates(const ReplayProgram& rp,
+                                          std::size_t qBegin,
+                                          std::size_t qEnd,
+                                          Cycles* out) const {
+  for (std::size_t q = qBegin; q < qEnd; ++q) {
+    out[q - qBegin] = timePacked(q, rp);
+  }
+  ColumnStats stats;
+  stats.fallbackColumns = 1;
+  return stats;
+}
+
+namespace {
+
+/// The conditional-branch penalties of one in-order replay under a clone
+/// of `prototype`.
+Cycles predictorCycles(const branch::Predictor& prototype,
+                       const ReplayProgram& rp,
+                       const pipeline::InOrderConfig& config) {
+  const auto predictor = prototype.clone();
+  Cycles total = 0;
+  for (std::size_t k = 0; k < rp.condBranchPc.size(); ++k) {
+    const std::int32_t pc = rp.condBranchPc[k];
+    const bool taken = rp.condBranchTaken[k] != 0;
+    if (predictor->predictTaken(pc) != taken) {
+      total += config.mispredictPenalty;
+    } else if (taken) {
+      total += config.takenPenalty;
+    }
+    predictor->update(pc, taken);
+  }
+  return total;
+}
+
+/// True when two snapshots share geometry, policy and timing, so one
+/// PackedCacheSim configuration serves both.
+bool sameShape(const cache::PackedCacheState& a,
+               const cache::PackedCacheState& b) {
+  return a.geometry.lineWords == b.geometry.lineWords &&
+         a.geometry.numSets == b.geometry.numSets &&
+         a.geometry.ways == b.geometry.ways && a.policy == b.policy &&
+         a.timing.hitLatency == b.timing.hitLatency &&
+         a.timing.missLatency == b.timing.missLatency;
+}
+
+/// One step of the row hash (splitmix64 over the running value).
+std::uint64_t mixWord(std::uint64_t h, std::uint64_t x) {
+  std::uint64_t z = h ^ (x + 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
 
 InOrderSnapshotModel::InOrderSnapshotModel(std::string name,
                                            pipeline::InOrderConfig config,
@@ -46,6 +102,159 @@ InOrderSnapshotModel::InOrderSnapshotModel(std::string name,
     }
     packed_.push_back(std::move(p));
   }
+
+  // The per-set decomposition needs one cache shape across Q and a policy
+  // that keeps its state per set (RANDOM's xorshift spans all sets).
+  const PackedState& first = packed_.front();
+  perSetOk_ = first.data.policy != cache::Policy::RANDOM &&
+              (!first.hasICache ||
+               first.icache.policy != cache::Policy::RANDOM);
+  for (const PackedState& p : packed_) {
+    if (!perSetOk_) break;
+    perSetOk_ = p.hasICache == first.hasICache &&
+                sameShape(p.data, first.data) &&
+                (!p.hasICache || sameShape(p.icache, first.icache));
+  }
+  if (!perSetOk_) return;
+  dataClasses_ = classifySets(&PackedState::data);
+  if (first.hasICache) icacheClasses_ = classifySets(&PackedState::icache);
+}
+
+InOrderSnapshotModel::SetClasses InOrderSnapshotModel::classifySets(
+    CacheOf which) const {
+  const std::size_t nQ = packed_.size();
+  const auto pick = [&](std::size_t q) -> const cache::PackedCacheState& {
+    return packed_[q].*which;
+  };
+  const auto sets = static_cast<std::size_t>(pick(0).geometry.numSets);
+  const auto ways = static_cast<std::size_t>(pick(0).geometry.ways);
+  const auto rowHash = [&](const cache::PackedCacheState& st,
+                           std::size_t s) {
+    const std::uint64_t valid = st.valid[s];
+    std::uint64_t h = mixWord(mixWord(0, valid), st.meta[s]);
+    for (std::size_t w = 0; w < ways; ++w) {
+      if ((valid >> w) & 1) {
+        h = mixWord(h, static_cast<std::uint64_t>(st.tags[s * ways + w]));
+      }
+    }
+    return h;
+  };
+  const auto sameRow = [&](const cache::PackedCacheState& a,
+                           const cache::PackedCacheState& b, std::size_t s) {
+    const std::uint64_t valid = a.valid[s];
+    if (valid != b.valid[s] || a.meta[s] != b.meta[s]) return false;
+    for (std::size_t w = 0; w < ways; ++w) {
+      if (((valid >> w) & 1) && a.tags[s * ways + w] != b.tags[s * ways + w]) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Open-addressed (row hash -> class) table, cleared per set.  A hash
+  // match is confirmed by comparing the rows, so a collision costs a probe
+  // and never merges two different set states.
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t cls = 0;
+    bool used = false;
+  };
+  std::size_t cap = 4;
+  while (cap < 2 * nQ) cap *= 2;
+  std::vector<Slot> table(cap);
+
+  SetClasses out;
+  out.classOf.resize(sets * nQ);
+  out.repBegin.reserve(sets + 1);
+  for (std::size_t s = 0; s < sets; ++s) {
+    const std::size_t base = out.repOf.size();
+    out.repBegin.push_back(base);
+    std::fill(table.begin(), table.end(), Slot{});
+    for (std::size_t q = 0; q < nQ; ++q) {
+      const cache::PackedCacheState& st = pick(q);
+      const std::uint64_t h = rowHash(st, s);
+      std::size_t i = static_cast<std::size_t>(h) & (cap - 1);
+      while (table[i].used &&
+             !(table[i].hash == h &&
+               sameRow(st, pick(out.repOf[base + table[i].cls]), s))) {
+        i = (i + 1) & (cap - 1);
+      }
+      if (!table[i].used) {
+        table[i] = Slot{h, static_cast<std::uint32_t>(out.repOf.size() - base),
+                        true};
+        out.repOf.push_back(static_cast<std::uint32_t>(q));
+      }
+      out.classOf[s * nQ + q] = table[i].cls;
+    }
+  }
+  out.repBegin.push_back(out.repOf.size());
+  return out;
+}
+
+template <typename Addr>
+std::uint64_t InOrderSnapshotModel::addSetColumns(
+    const SetClasses& classes, CacheOf which,
+    const std::vector<Addr>& stream, std::size_t qBegin, std::size_t qEnd,
+    Cycles* out) const {
+  if (stream.empty()) return 0;
+  const std::size_t nQ = packed_.size();
+  const auto pick = [&](std::size_t q) -> const cache::PackedCacheState& {
+    return packed_[q].*which;
+  };
+  // The sim supplies the exact line/set mapping of access() (locate) and
+  // replays one set at a time (loadSet + accessLine).
+  thread_local cache::PackedCacheSim sim;
+  sim.load(pick(qBegin));
+  const auto sets = static_cast<std::size_t>(pick(qBegin).geometry.numSets);
+
+  // Bucket the stream by set (counting sort, stream order kept per set).
+  thread_local std::vector<cache::PackedCacheSim::Slot> slots;
+  thread_local std::vector<std::size_t> begin;
+  thread_local std::vector<std::size_t> cursor;
+  thread_local std::vector<std::int64_t> lines;
+  slots.resize(stream.size());
+  begin.assign(sets + 1, 0);
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    slots[k] = sim.locate(static_cast<std::int64_t>(stream[k]));
+    ++begin[slots[k].set + 1];
+  }
+  for (std::size_t s = 0; s < sets; ++s) begin[s + 1] += begin[s];
+  cursor.assign(begin.begin(), begin.end() - 1);
+  lines.resize(stream.size());
+  for (const auto& slot : slots) lines[cursor[slot.set]++] = slot.line;
+
+  // f_s(c) per present class, memoized under a per-set epoch stamp.
+  thread_local std::vector<Cycles> memo;
+  thread_local std::vector<std::uint64_t> stamp;
+  thread_local std::uint64_t epoch = 0;
+  std::uint64_t replayed = 0;
+  for (std::size_t s = 0; s < sets; ++s) {
+    if (begin[s] == begin[s + 1]) continue;
+    const std::uint32_t* classOf = &classes.classOf[s * nQ];
+    const std::uint32_t* repOf = &classes.repOf[classes.repBegin[s]];
+    const std::size_t numClasses =
+        classes.repBegin[s + 1] - classes.repBegin[s];
+    if (memo.size() < numClasses) {
+      memo.resize(numClasses);
+      stamp.resize(numClasses, 0);
+    }
+    ++epoch;
+    for (std::size_t q = qBegin; q < qEnd; ++q) {
+      const std::uint32_t c = classOf[q];
+      if (stamp[c] != epoch) {
+        sim.loadSet(pick(repOf[c]), s);
+        Cycles f = 0;
+        for (std::size_t j = begin[s]; j < begin[s + 1]; ++j) {
+          f += sim.accessLine(s, lines[j]).latency;
+        }
+        memo[c] = f;
+        stamp[c] = epoch;
+        ++replayed;
+      }
+      out[q - qBegin] += memo[c];
+    }
+  }
+  return replayed;
 }
 
 Cycles InOrderSnapshotModel::time(std::size_t q,
@@ -84,20 +293,36 @@ Cycles InOrderSnapshotModel::timePacked(std::size_t q,
     }
   }
 
-  if (withPredictor) {
-    const auto predictor = s.predictor->clone();
-    for (std::size_t k = 0; k < rp.condBranchPc.size(); ++k) {
-      const std::int32_t pc = rp.condBranchPc[k];
-      const bool taken = rp.condBranchTaken[k] != 0;
-      if (predictor->predictTaken(pc) != taken) {
-        total += config_.mispredictPenalty;
-      } else if (taken) {
-        total += config_.takenPenalty;
-      }
-      predictor->update(pc, taken);
-    }
-  }
+  if (withPredictor) total += predictorCycles(*s.predictor, rp, config_);
   return total;
+}
+
+ColumnStats InOrderSnapshotModel::timePackedStates(const ReplayProgram& rp,
+                                                   std::size_t qBegin,
+                                                   std::size_t qEnd,
+                                                   Cycles* out) const {
+  if (!perSetOk_ || qBegin == qEnd) {
+    return TimingModel::timePackedStates(rp, qBegin, qEnd, out);
+  }
+  // Every contribution is additive (see timePacked), so the per-state
+  // base and predictor walk go in first and the per-set cache terms are
+  // summed on top.
+  const Cycles base = replayBaseCycles(rp, config_, false);
+  for (std::size_t q = qBegin; q < qEnd; ++q) {
+    const State& s = states_[q];
+    out[q - qBegin] =
+        s.predictor ? replayBaseCycles(rp, config_, true) +
+                          predictorCycles(*s.predictor, rp, config_)
+                    : base;
+  }
+  ColumnStats stats;
+  stats.stateClasses = addSetColumns(dataClasses_, &PackedState::data,
+                                     rp.dataAddr, qBegin, qEnd, out);
+  if (packed_.front().hasICache) {
+    stats.stateClasses += addSetColumns(icacheClasses_, &PackedState::icache,
+                                        rp.fetchPc, qBegin, qEnd, out);
+  }
+  return stats;
 }
 
 namespace {
@@ -394,7 +619,7 @@ class PretModel : public TimingModel {
 class SmtModel : public TimingModel {
  public:
   SmtModel(std::string name, pipeline::SmtConfig config, int numContexts)
-      : name_(std::move(name)), config_(config) {
+      : name_(std::move(name)), config_(config), latencies_(config) {
     // Fixed co-runner pool; contexts are the prefixes and singletons of it,
     // deterministic and independent of the measured program.
     const std::pair<const char*, isa::ast::AstProgram> pool[] = {
@@ -402,9 +627,19 @@ class SmtModel : public TimingModel {
         {"bubbleSort", isa::workloads::bubbleSort(8)},
         {"divKernel", isa::workloads::divKernel(12)},
     };
+    const pipeline::SmtLatencies latencies(config_);
     for (const auto& [bgName, ast] : pool) {
       auto run = isa::FunctionalCore::run(isa::ast::compileBranchy(ast),
                                           isa::Input{});
+      // The co-runners are fixed, so the packed kernel reads their
+      // latencies lowered once here.
+      std::vector<Cycles> lowered;
+      lowered.reserve(run.trace.size());
+      for (const auto& rec : run.trace) {
+        lowered.push_back(latencies.of(isa::latencyClass(rec.instr.op),
+                                       rec.extraLatency));
+      }
+      bgLatencies_.push_back(std::move(lowered));
       bgTraces_.push_back(std::move(run.trace));
       bgNames_.emplace_back(bgName);
     }
@@ -430,9 +665,32 @@ class SmtModel : public TimingModel {
     return pipeline::SmtPipeline(config_).run(threads)[0];
   }
 
+  /// The event-driven kernel over the RT thread's pre-decoded ops and the
+  /// co-runners' pre-lowered latencies; SmtPipeline::run is its oracle.
+  bool supportsPackedReplay() const override { return true; }
+
+  Cycles timePacked(std::size_t q, const ReplayProgram& rp) const override {
+    const auto& context = contexts_[q];
+    std::array<const std::vector<Cycles>*, pipeline::kMaxSmtThreads - 1>
+        coRunners{};
+    for (std::size_t k = 0; k < context.size(); ++k) {
+      coRunners[k] = &bgLatencies_[context[k]];
+    }
+    const ReplayOp* ops = rp.ops.data();
+    return pipeline::smtRtCompletion(
+        config_.policy, rp.ops.size(),
+        [&](std::size_t k) {
+          return latencies_.of(static_cast<isa::LatencyClass>(ops[k].cls),
+                               ops[k].extraLatency);
+        },
+        coRunners.data(), context.size());
+  }
+
  private:
   std::string name_;
   pipeline::SmtConfig config_;
+  pipeline::SmtLatencies latencies_;
+  std::vector<std::vector<Cycles>> bgLatencies_;  ///< parallel to bgTraces_
   std::vector<isa::Trace> bgTraces_;
   std::vector<std::string> bgNames_;
   std::vector<std::vector<std::size_t>> contexts_;

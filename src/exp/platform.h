@@ -44,6 +44,22 @@ namespace pred::exp {
 
 using core::Cycles;  // one shared cycle type, no shadow definition
 
+/// What one TimingModel::timePackedStates call did, summed per tile into
+/// the engine's counters.
+struct ColumnStats {
+  /// Per-set state classes replayed ("engine.state_classes").
+  std::uint64_t stateClasses = 0;
+  /// Columns timed one state at a time, without a per-set decomposition
+  /// ("engine.state_fallback").
+  std::uint64_t fallbackColumns = 0;
+
+  ColumnStats& operator+=(const ColumnStats& o) {
+    stateClasses += o.stateClasses;
+    fallbackColumns += o.fallbackColumns;
+    return *this;
+  }
+};
+
 /// One system instantiated for one program: an enumerated hardware-state
 /// set Q and the timing evaluator over it.
 class TimingModel {
@@ -73,6 +89,21 @@ class TimingModel {
   /// T(q, rp) over the compiled replay form.  Only meaningful when
   /// supportsPackedReplay(); the default throws std::logic_error.
   virtual Cycles timePacked(std::size_t q, const ReplayProgram& rp) const;
+
+  /// Column form of timePacked, the one the engine's tile walker calls:
+  /// writes T(q, rp) to out[q - qBegin] for every q in [qBegin, qEnd).
+  ///
+  /// Contract: each out[k] equals timePacked(qBegin + k, rp) bit for bit,
+  /// for any range, however the engine tiles Q; the range never changes a
+  /// value, only which states are computed.  Only meaningful when
+  /// supportsPackedReplay().  Safe to call concurrently, like time().
+  /// A model overrides this when one column can share work across states
+  /// (InOrderSnapshotModel replays each cache set once per distinct set
+  /// state).  The default loops over timePacked and counts one fallback
+  /// column.
+  virtual ColumnStats timePackedStates(const ReplayProgram& rp,
+                                       std::size_t qBegin, std::size_t qEnd,
+                                       Cycles* out) const;
 };
 
 /// In-order pipeline over explicit snapshot states: data cache, optional
@@ -104,19 +135,58 @@ class InOrderSnapshotModel : public TimingModel {
   bool supportsPackedReplay() const override { return packedOk_; }
   Cycles timePacked(std::size_t q, const ReplayProgram& rp) const override;
 
+  /// Per-set column replay.  For LRU, FIFO, PLRU and MRU an access's
+  /// latency depends only on the state of its own set, so
+  ///   T(q) = base(q) + predictor walk(q) + sum over touched sets s of
+  ///          f_s(class of s in q)
+  /// where f_s replays the set's sub-stream once per distinct set state
+  /// (class) present in [qBegin, qEnd).  RANDOM shares one xorshift across
+  /// the sets and falls back to the per-state loop, as do states whose
+  /// caches disagree in geometry, policy or timing.
+  ColumnStats timePackedStates(const ReplayProgram& rp, std::size_t qBegin,
+                               std::size_t qEnd,
+                               Cycles* out) const override;
+
  private:
+  /// Per-set state classes of one cache across Q: two states share the
+  /// class of set s when their rows of s (valid mask, meta word and the
+  /// tags of the valid ways) are equal.  Built once, in O(|Q| x sets).
+  struct SetClasses {
+    std::vector<std::uint32_t> classOf;  ///< [set * |Q| + q]
+    std::vector<std::uint32_t> repOf;    ///< a member state per class
+    std::vector<std::size_t> repBegin;   ///< set s's classes in repOf
+  };
+
   /// Flat snapshot pair for one state; icache holds no sets when absent.
   struct PackedState {
     cache::PackedCacheState data;
     cache::PackedCacheState icache;
     bool hasICache = false;
   };
+  /// Selects the data or the I-cache snapshot of a PackedState.
+  using CacheOf = cache::PackedCacheState PackedState::*;
+
+  /// Builds the classes of one cache across the states.
+  SetClasses classifySets(CacheOf which) const;
+
+  /// Adds f_s(class of s in q) for every touched set s to out[q - qBegin];
+  /// returns the number of classes replayed.
+  template <typename Addr>
+  std::uint64_t addSetColumns(const SetClasses& classes, CacheOf which,
+                              const std::vector<Addr>& stream,
+                              std::size_t qBegin, std::size_t qEnd,
+                              Cycles* out) const;
 
   std::string name_;
   pipeline::InOrderConfig config_;
   std::vector<State> states_;
   std::vector<PackedState> packed_;  ///< parallel to states_ when packedOk_
   bool packedOk_ = false;
+  /// Per-set decomposition, when every state's caches are alike and the
+  /// policy keeps its state per set.
+  bool perSetOk_ = false;
+  SetClasses dataClasses_;
+  SetClasses icacheClasses_;  ///< empty without an I-cache
 };
 
 /// Knobs shared by all platform factories.  Presets interpret the subset

@@ -16,12 +16,14 @@
 // the rewriting literature use: compile the structure once, run a dumb fast
 // loop over it.
 //
-// The out-of-order pipelines are not additive — their cost is a function of
-// dispatch pairing and register dependencies — so for them the lowering
-// keeps a cycle-accurate stream instead: `ops`, one pre-decoded ReplayOp
-// per dynamic instruction (latency class, register reads/writes, branch
-// outcome, memory address), which pipeline::runOooKernel replays against
-// packed cache snapshots with zero per-cell decoding.
+// The out-of-order and SMT pipelines are not additive — their cost is a
+// function of dispatch pairing, register dependencies or issue-port
+// sharing — so for them the lowering keeps a cycle-accurate stream
+// instead: `ops`, one pre-decoded ReplayOp per dynamic instruction
+// (latency class, register reads/writes, branch outcome, memory address).
+// pipeline::runOooKernel replays it against packed cache snapshots, and
+// pipeline::smtRtCompletion reads the real-time thread's latencies from
+// it, both with zero per-cell decoding.
 //
 // Lowering is exact, not approximate: for every InOrderConfig, predictor,
 // and cache snapshot, the compiled replay is bit-identical to
@@ -100,7 +102,8 @@ struct ReplayProgram {
   /// The cycle-accurate stream: one pre-decoded op per dynamic instruction,
   /// parallel to fetchPc.  Consumed by the OOO packed replay, whose
   /// dispatch loop needs register dependencies and per-op facts the
-  /// additive in-order streams above fold away.  Lowered eagerly even for
+  /// additive in-order streams above fold away, and by the SMT kernel,
+  /// which reads each op's latency class and DIV cycles.  Lowered eagerly even for
   /// traces only in-order models end up replaying: 24 B/instruction is
   /// well under the memoized isa::Trace the store already keeps alongside,
   /// and the alternative — lazy lowering inside TraceStore — would put a

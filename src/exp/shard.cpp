@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/wire.h"
+#include "obs/span.h"
 
 namespace pred::exp {
 
@@ -269,6 +270,10 @@ std::string canonicalResultIdentity(const ShardSpec& spec) {
   // latter is what kCodeVersionSalt (grid/fingerprint.h) invalidates.
   ShardSpec canonical = spec;
   canonical.engine = EngineConfig{};  // scheduling knobs never change bytes
+  // The tile fields are pinned to the values identities were minted with,
+  // so retuning the scheduling default never moves a cache address.
+  canonical.engine.tileStates = 4;
+  canonical.engine.tileInputs = 8;
   return serializeShardSpec(canonical);
 }
 
@@ -283,9 +288,12 @@ core::StreamingMeasures evaluateShard(const ShardSpec& spec,
                                       const std::vector<isa::Input>& inputs,
                                       const PlatformRegistry& platforms,
                                       obs::RunReport* report) {
-  const auto model = platforms.make(spec.platform, program, spec.options);
   ExperimentEngine engine(spec.engine);
   const auto start = std::chrono::steady_clock::now();
+  const auto model = [&] {
+    obs::Span span(&engine.metrics().phase("model.build"));
+    return platforms.make(spec.platform, program, spec.options);
+  }();
   auto acc = engine.reduceCellsRange(*model, program, inputs, spec.qBegin,
                                      spec.qEnd, spec.iBegin, spec.iEnd);
   if (report != nullptr) {

@@ -1,5 +1,6 @@
 #include "exp/trace_store.h"
 
+#include <charconv>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -42,15 +43,34 @@ std::uint64_t packInstr(const isa::Instr& ins) {
           << 32);
 }
 
-/// Canonical key of one (program, input) pair.
+/// Appends the decimal spelling of `v` (the same text std::to_string
+/// gives) without a temporary string.
+template <typename Int>
+void appendInt(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Canonical key of one (program, input) pair, built in one buffer: every
+/// warm lookup pays for it.
 std::string keyOf(const isa::Program& program, const isa::Input& input) {
-  std::string key = std::to_string(programFingerprint(program));
+  std::string key;
+  key.reserve(24 + 44 * (input.regs.size() + input.mem.size()));
+  appendInt(key, programFingerprint(program));
   key += '|';
   for (const auto& [reg, value] : input.regs) {
-    key += 'r' + std::to_string(reg) + '=' + std::to_string(value) + ';';
+    key += 'r';
+    appendInt(key, reg);
+    key += '=';
+    appendInt(key, value);
+    key += ';';
   }
   for (const auto& [addr, value] : input.mem) {
-    key += 'm' + std::to_string(addr) + '=' + std::to_string(value) + ';';
+    key += 'm';
+    appendInt(key, addr);
+    key += '=';
+    appendInt(key, value);
+    key += ';';
   }
   return key;
 }

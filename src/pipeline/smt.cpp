@@ -12,21 +12,21 @@ std::string toString(SmtPolicy p) {
   return "?";
 }
 
-SmtPipeline::SmtPipeline(SmtConfig config) : config_(config) {}
-
-Cycles SmtPipeline::latencyOf(const isa::ExecRecord& rec) const {
-  switch (isa::latencyClass(rec.instr.op)) {
-    case isa::LatencyClass::Single: return config_.aluLatency;
-    case isa::LatencyClass::Multiply: return config_.mulLatency;
-    case isa::LatencyClass::Divide:
-      return config_.constantDiv ? static_cast<Cycles>(isa::maxDivLatency())
-                                 : static_cast<Cycles>(rec.extraLatency);
-    case isa::LatencyClass::Memory: return config_.memLatency;
-    case isa::LatencyClass::Control: return config_.controlLatency;
-    case isa::LatencyClass::None: return 1;
-  }
-  return 1;
+SmtLatencies::SmtLatencies(const SmtConfig& config)
+    : constantDiv_(config.constantDiv) {
+  const auto set = [this](isa::LatencyClass cls, Cycles lat) {
+    byClass_[static_cast<std::size_t>(cls)] = lat;
+  };
+  set(isa::LatencyClass::Single, config.aluLatency);
+  set(isa::LatencyClass::Multiply, config.mulLatency);
+  set(isa::LatencyClass::Divide, static_cast<Cycles>(isa::maxDivLatency()));
+  set(isa::LatencyClass::Memory, config.memLatency);
+  set(isa::LatencyClass::Control, config.controlLatency);
+  set(isa::LatencyClass::None, 1);
 }
+
+SmtPipeline::SmtPipeline(SmtConfig config)
+    : config_(config), latencies_(config) {}
 
 std::vector<Cycles> SmtPipeline::run(
     const std::vector<const isa::Trace*>& threads) const {
@@ -50,8 +50,7 @@ std::vector<Cycles> SmtPipeline::run(
     if (!st[t].done) ++remaining;
   }
 
-  const Cycles safety = 100000000ULL;
-  while (remaining > 0 && cycle < safety) {
+  while (remaining > 0 && cycle < kSmtSafetyCycles) {
     // Pick the thread that issues this cycle.
     std::size_t chosen = n;  // none
     auto ready = [&](std::size_t t) {
@@ -84,7 +83,8 @@ std::vector<Cycles> SmtPipeline::run(
     if (chosen < n) {
       auto& ts = st[chosen];
       const auto& rec = (*threads[chosen])[ts.next];
-      const Cycles lat = latencyOf(rec);
+      const Cycles lat =
+          latencies_.of(isa::latencyClass(rec.instr.op), rec.extraLatency);
       ts.readyAt = cycle + lat;  // in-order thread: next issues after this
       ++ts.next;
       if (ts.next >= threads[chosen]->size()) {
