@@ -111,7 +111,7 @@ void AbstractCache::accessRange(std::int64_t lo, std::int64_t hi) {
     std::fill(touched.begin(), touched.end(), 1);
   } else {
     for (std::int64_t l = geom_.lineOf(lo); l <= geom_.lineOf(hi); ++l) {
-      touched[static_cast<std::size_t>(l % geom_.numSets)] = 1;
+      touched[static_cast<std::size_t>(geom_.setOfLine(l))] = 1;
     }
   }
   for (std::int64_t k = 0; k < geom_.numSets; ++k) {

@@ -121,8 +121,9 @@ class PackedCacheSim {
   std::uint64_t rng_ = 1;
   /// Strength-reduced address mapping for power-of-two line size and set
   /// count (the common geometries): line = addr >> lineShift_, set = line &
-  /// setMask_.  Exact for non-negative addresses only, so access() falls
-  /// back to the division form on addr < 0 — bit-identical everywhere.
+  /// setMask_.  The arithmetic shift floors and the mask is a Euclidean
+  /// modulo, so this equals CacheGeometry::lineOf/setOf for every address,
+  /// negative ones included.
   bool pow2_ = false;
   int lineShift_ = 0;
   std::int64_t setMask_ = 0;
@@ -212,7 +213,7 @@ inline int PackedCacheSim::chooseVictim(std::size_t set) {
 
 inline PackedCacheSim::Slot PackedCacheSim::locate(
     std::int64_t wordAddr) const {
-  if (pow2_ && wordAddr >= 0) {
+  if (pow2_) {
     const std::int64_t line = wordAddr >> lineShift_;
     return Slot{line, static_cast<std::size_t>(line & setMask_)};
   }

@@ -32,44 +32,6 @@ std::vector<std::vector<std::size_t>> groupByClass(
   return groups;
 }
 
-/// Class ids for externally supplied traces (the trace-pointer entry
-/// points, which bypass the store): pointer-equal traces short-circuit,
-/// distinct pointers group by content fingerprint CONFIRMED by exact
-/// record-for-record comparison — same collision discipline as the store.
-std::vector<std::uint32_t> localClassIds(
-    const std::vector<const isa::Trace*>& traces) {
-  std::vector<std::uint32_t> ids(traces.size(), 0);
-  std::unordered_map<const isa::Trace*, std::uint32_t> byPtr;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::uint32_t, const isa::Trace*>>>
-      byFp;
-  std::uint32_t next = 0;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const isa::Trace* t = traces[i];
-    if (const auto pit = byPtr.find(t); pit != byPtr.end()) {
-      ids[i] = pit->second;
-      continue;
-    }
-    auto& classes = byFp[traceFingerprint(*t)];
-    std::uint32_t id = next;
-    bool found = false;
-    for (const auto& [cid, rep] : classes) {
-      if (tracesIdentical(*rep, *t)) {
-        id = cid;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      ++next;
-      classes.emplace_back(id, t);
-    }
-    byPtr.emplace(t, id);
-    ids[i] = id;
-  }
-  return ids;
-}
-
 }  // namespace
 
 ExperimentEngine::ExperimentEngine(EngineConfig config) : config_(config) {
@@ -118,15 +80,9 @@ bool ExperimentEngine::packedPath(const TimingModel& model) const {
   return config_.usePackedReplay && model.supportsPackedReplay();
 }
 
-std::vector<ReplayProgram> ExperimentEngine::compileLocal(
-    const std::vector<const isa::Trace*>& traces) const {
-  std::vector<ReplayProgram> compiled(traces.size());
-  obs::Span span(pResolve_);
-  WorkerPool::shared().run(
-      traces.size(), resolvedThreads(),
-      [&](std::size_t i, int) { compiled[i] = compileTrace(*traces[i]); },
-      &util_);
-  return compiled;
+obs::PhaseAccum* ExperimentEngine::replayPhase(
+    const TimingModel& model) const {
+  return packedPath(model) ? pReplayPacked_ : pReplayInterp_;
 }
 
 void ExperimentEngine::runGrid(const std::vector<Walk>& walks,
@@ -173,18 +129,19 @@ void ExperimentEngine::runGrid(const std::vector<Walk>& walks,
         const std::size_t c0 = (local % tilesI[w]) * width;
         const std::size_t q1 = std::min(walk.qEnd, q0 + config_.tileStates);
         const std::size_t c1 = std::min(walk.columns.size(), c0 + width);
-        const bool packed = walk.compiled != nullptr && !walk.compiled->empty();
+        const Resolved& in = *walk.resolved;
+        const bool packed = !in.compiled.empty();
         thread_local std::vector<Cycles> times;
         times.resize(q1 - q0);
         ColumnStats stats;
         for (std::size_t c = c0; c < c1; ++c) {
           const std::size_t i = walk.columns[c];
           if (packed) {
-            stats += walk.model->timePackedStates(*(*walk.compiled)[i], q0,
-                                                  q1, times.data());
+            stats += walk.model->timePackedStates(*in.compiled[i], q0, q1,
+                                                  times.data());
           } else {
             for (std::size_t q = q0; q < q1; ++q) {
-              times[q - q0] = walk.model->time(q, *(*walk.traces)[i]);
+              times[q - q0] = walk.model->time(q, *in.traces[i]);
             }
           }
           sink(w, c, q0, times.data(), q1 - q0, worker);
@@ -198,16 +155,124 @@ void ExperimentEngine::runGrid(const std::vector<Walk>& walks,
       &util_);
 }
 
-core::TimingMatrix ExperimentEngine::matrixImpl(
-    const TimingModel& model, const std::vector<const isa::Trace*>& traces,
-    const std::vector<const ReplayProgram*>& compiled) const {
+std::vector<ExperimentEngine::Resolved> ExperimentEngine::resolve(
+    const std::vector<Job>& jobs, bool classes) {
+  // Prefix offsets flatten every job's input range into one work list; the
+  // owning job of item k is recovered by binary search.
+  std::vector<Resolved> out(jobs.size());
+  std::vector<std::size_t> offset(jobs.size() + 1, 0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t nI = jobs[j].inputs->size();
+    out[j].traces.assign(nI, nullptr);
+    if (packedPath(*jobs[j].model)) out[j].compiled.assign(nI, nullptr);
+    if (classes) out[j].classIds.assign(nI, 0);
+    offset[j + 1] = offset[j] + (jobs[j].iEnd - jobs[j].iBegin);
+  }
+  // The store's buckets are independently locked, so trace computation —
+  // the other substantial cost — fills it on the worker pool too.
+  obs::Span span(pResolve_);
+  WorkerPool::shared().run(
+      offset.back(), resolvedThreads(),
+      [&](std::size_t k, int) {
+        const auto j = static_cast<std::size_t>(
+            std::upper_bound(offset.begin(), offset.end(), k) -
+            offset.begin() - 1);
+        const std::size_t i = jobs[j].iBegin + (k - offset[j]);
+        Resolved& r = out[j];
+        const bool packed = !r.compiled.empty();
+        const auto ref =
+            store_.entryRefFor(*jobs[j].program, (*jobs[j].inputs)[i], packed);
+        r.traces[i] = ref.trace;
+        if (packed) r.compiled[i] = ref.compiled;
+        if (classes) r.classIds[i] = ref.classId;
+      },
+      &util_);
+  return out;
+}
+
+std::vector<core::StreamingMeasures> ExperimentEngine::reduceJobs(
+    const std::vector<Job>& jobs, obs::PhaseAccum* phase) {
+  const bool collapse = config_.collapseTraceClasses;
+  const std::vector<Resolved> resolved = resolve(jobs, collapse);
+  std::vector<Walk> walks(jobs.size());
+  std::vector<std::vector<std::vector<std::size_t>>> groups(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const Job& job = jobs[j];
+    walks[j] = Walk{job.model, &resolved[j], job.qBegin, job.qEnd, {}};
+    if (collapse) {
+      // Collapsed walk: one column per trace-equivalence class in the input
+      // range.  The representative (smallest member) is timed; addEqual
+      // fans the result out to every member with the same value/witness
+      // outcome the per-member walk would have produced.  Equal traces
+      // replay to equal times on every deterministic model — also for
+      // shard ranges that pick a different in-range representative of the
+      // same global class.
+      groups[j] = groupByClass(resolved[j].classIds, job.iBegin, job.iEnd);
+      for (const auto& members : groups[j]) {
+        walks[j].columns.push_back(members.front());
+      }
+      cTraceClasses_->add(groups[j].size());
+      cCellsCollapsed_->add((job.qEnd - job.qBegin) *
+                            ((job.iEnd - job.iBegin) - groups[j].size()));
+    } else {
+      walks[j].columns.resize(job.iEnd - job.iBegin);
+      std::iota(walks[j].columns.begin(), walks[j].columns.end(), job.iBegin);
+    }
+  }
+
+  // One accumulator per (worker slot, job), merged in slot order below; the
+  // smallest-index tie-break makes the merged result independent of which
+  // worker saw which tile.  Accumulators carry the FULL shape even for a
+  // shard's sub-rectangle, so shard merges reproduce the single-process
+  // witnesses.
+  const auto workers = static_cast<std::size_t>(std::max(resolvedThreads(), 1));
+  std::vector<std::vector<core::StreamingMeasures>> accs(workers);
+  for (auto& mine : accs) {
+    mine.reserve(jobs.size());
+    for (const Job& job : jobs) {
+      mine.emplace_back(job.model->numStates(), job.inputs->size());
+    }
+  }
+  runGrid(walks, phase,
+          [&](std::size_t j, std::size_t c, std::size_t q0, const Cycles* t,
+              std::size_t n, int worker) {
+            auto& acc = accs[static_cast<std::size_t>(worker)][j];
+            for (std::size_t k = 0; k < n; ++k) {
+              if (collapse) {
+                const auto& members = groups[j][c];
+                acc.addEqual(q0 + k, members.data(), members.size(), t[k]);
+              } else {
+                acc.add(q0 + k, walks[j].columns[c], t[k]);
+              }
+            }
+          });
+
+  obs::Span mergeSpan(pMerge_);
+  std::vector<core::StreamingMeasures> out;
+  out.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    core::StreamingMeasures total = std::move(accs[0][j]);
+    for (std::size_t w = 1; w < workers; ++w) total.merge(accs[w][j]);
+    out.push_back(std::move(total));
+  }
+  return out;
+}
+
+core::TimingMatrix ExperimentEngine::computeMatrix(
+    const TimingModel& model, const isa::Program& program,
+    const std::vector<isa::Input>& inputs) {
+  const std::size_t nQ = model.numStates();
+  // The matrix keeps one column per input, so it never collapses classes.
+  const auto resolved =
+      resolve({Job{&model, &program, &inputs, 0, nQ, 0, inputs.size()}},
+              false);
   cMatrixBuilds_->add();
-  core::TimingMatrix m(model.numStates(), traces.size());
+  core::TimingMatrix m(nQ, inputs.size());
   std::vector<Walk> walks(1);
-  walks[0] = Walk{&model, &traces, &compiled, 0, m.numStates(), {}};
-  walks[0].columns.resize(m.numInputs());
+  walks[0] = Walk{&model, &resolved[0], 0, nQ, {}};
+  walks[0].columns.resize(inputs.size());
   std::iota(walks[0].columns.begin(), walks[0].columns.end(), 0);
-  runGrid(walks, compiled.empty() ? pReplayInterp_ : pReplayPacked_,
+  runGrid(walks, replayPhase(model),
           [&](std::size_t, std::size_t i, std::size_t q0, const Cycles* t,
               std::size_t n, int) {
             for (std::size_t k = 0; k < n; ++k) m.at(q0 + k, i) = t[k];
@@ -215,252 +280,13 @@ core::TimingMatrix ExperimentEngine::matrixImpl(
   return m;
 }
 
-core::StreamingMeasures ExperimentEngine::reduceImpl(
-    const TimingModel& model, const std::vector<const isa::Trace*>& traces,
-    const std::vector<const ReplayProgram*>& compiled,
-    const std::vector<std::uint32_t>* classIds, std::size_t qBegin,
-    std::size_t qEnd, std::size_t iBegin, std::size_t iEnd) const {
-  const std::size_t nQ = model.numStates();
-  const std::size_t nI = traces.size();
-  // One accumulator per worker slot, merged in slot order afterwards; the
-  // smallest-index tie-break makes the merged result independent of which
-  // worker saw which tile.  Accumulators carry the FULL shape even when
-  // walking a shard's sub-rectangle, so shard merges reproduce the
-  // single-process witnesses.
-  const int workers = std::max(resolvedThreads(), 1);
-  std::vector<core::StreamingMeasures> accs(
-      static_cast<std::size_t>(workers), core::StreamingMeasures(nQ, nI));
-  std::vector<Walk> walks(1);
-  walks[0] = Walk{&model, &traces, &compiled, qBegin, qEnd, {}};
-  std::vector<std::vector<std::size_t>> groups;
-  if (classIds != nullptr) {
-    // Collapsed walk: one column per trace-equivalence class in the input
-    // range.  The representative (smallest member) is timed; addEqual fans
-    // the result out to every member with the same value/witness outcome the
-    // per-member walk would have produced.  Equal traces replay to equal
-    // times on every deterministic model — also for shard ranges that pick
-    // a different in-range representative of the same global class.
-    groups = groupByClass(*classIds, iBegin, iEnd);
-    cTraceClasses_->add(groups.size());
-    cCellsCollapsed_->add((qEnd - qBegin) *
-                          ((iEnd - iBegin) - groups.size()));
-    for (const auto& members : groups) {
-      walks[0].columns.push_back(members.front());
-    }
-  } else {
-    walks[0].columns.resize(iEnd - iBegin);
-    std::iota(walks[0].columns.begin(), walks[0].columns.end(), iBegin);
-  }
-  runGrid(walks, compiled.empty() ? pReplayInterp_ : pReplayPacked_,
-          [&](std::size_t, std::size_t c, std::size_t q0, const Cycles* t,
-              std::size_t n, int worker) {
-            auto& acc = accs[static_cast<std::size_t>(worker)];
-            for (std::size_t k = 0; k < n; ++k) {
-              if (classIds != nullptr) {
-                acc.addEqual(q0 + k, groups[c].data(), groups[c].size(), t[k]);
-              } else {
-                acc.add(q0 + k, walks[0].columns[c], t[k]);
-              }
-            }
-          });
-  obs::Span mergeSpan(pMerge_);
-  core::StreamingMeasures total = std::move(accs.front());
-  for (std::size_t w = 1; w < accs.size(); ++w) total.merge(accs[w]);
-  return total;
-}
-
-core::TimingMatrix ExperimentEngine::computeMatrix(
-    const TimingModel& model,
-    const std::vector<const isa::Trace*>& traces) const {
-  if (packedPath(model) && !traces.empty() && model.numStates() > 0) {
-    const auto local = compileLocal(traces);
-    std::vector<const ReplayProgram*> compiled(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) compiled[i] = &local[i];
-    return matrixImpl(model, traces, compiled);
-  }
-  return matrixImpl(model, traces, {});
-}
-
-core::TimingMatrix ExperimentEngine::computeMatrix(
+core::StreamingMeasures ExperimentEngine::reduceCells(
     const TimingModel& model, const isa::Program& program,
     const std::vector<isa::Input>& inputs) {
-  // Fill the store on the worker pool too: trace computation is the other
-  // substantial cost, and the store's buckets are independently locked.
-  std::vector<const isa::Trace*> traces;
-  std::vector<const ReplayProgram*> compiled;
-  resolveTraces(program, inputs, 0, inputs.size(), packedPath(model), traces,
-                compiled);
-  return matrixImpl(model, traces, compiled);
-}
-
-core::StreamingMeasures ExperimentEngine::reduceCells(
-    const TimingModel& model,
-    const std::vector<const isa::Trace*>& traces) const {
-  const std::size_t nQ = model.numStates();
-  const std::size_t nI = traces.size();
-  // Externally supplied traces never went through the store, so their class
-  // ids are derived locally (pointer/content grouping).
-  std::vector<std::uint32_t> classIds;
-  const std::vector<std::uint32_t>* ids = nullptr;
-  if (config_.collapseTraceClasses && nI > 0) {
-    classIds = localClassIds(traces);
-    ids = &classIds;
-  }
-  if (packedPath(model) && nI > 0 && nQ > 0) {
-    const auto local = compileLocal(traces);
-    std::vector<const ReplayProgram*> compiled(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) compiled[i] = &local[i];
-    return reduceImpl(model, traces, compiled, ids, 0, nQ, 0, nI);
-  }
-  return reduceImpl(model, traces, {}, ids, 0, nQ, 0, nI);
-}
-
-std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
-    const std::vector<GridSpec>& grids) {
-  const std::size_t nGrids = grids.size();
-  const bool collapse = config_.collapseTraceClasses;
-
-  /// Per-grid evaluation context, resolved up front so the cell pass is a
-  /// pure walk.
-  struct Prepared {
-    bool packed = false;
-    std::vector<const isa::Trace*> traces;
-    std::vector<const ReplayProgram*> compiled;
-    std::vector<std::uint32_t> classIds;
-    std::vector<std::vector<std::size_t>> groups;
-  };
-  std::vector<Prepared> prep(nGrids);
-  // Prefix offsets flatten the per-grid inputs into one resolve work list;
-  // the owning grid of item k is recovered by binary search.
-  std::vector<std::size_t> inputOffset(nGrids + 1, 0);
-  for (std::size_t g = 0; g < nGrids; ++g) {
-    Prepared& p = prep[g];
-    const std::size_t nI = grids[g].inputs->size();
-    p.packed = packedPath(*grids[g].model);
-    p.traces.assign(nI, nullptr);
-    if (p.packed) p.compiled.assign(nI, nullptr);
-    if (collapse) p.classIds.assign(nI, 0);
-    inputOffset[g + 1] = inputOffset[g] + nI;
-  }
-
-  // Pass 1: resolve (and memoize) every grid's traces and compiled forms —
-  // all (grid, input) pairs as one pool work list.
-  {
-    obs::Span span(pResolve_);
-    WorkerPool::shared().run(
-        inputOffset.back(), resolvedThreads(),
-        [&](std::size_t k, int) {
-          const auto g = static_cast<std::size_t>(
-              std::upper_bound(inputOffset.begin(), inputOffset.end(), k) -
-              inputOffset.begin() - 1);
-          const std::size_t i = k - inputOffset[g];
-          const auto& input = (*grids[g].inputs)[i];
-          if (prep[g].packed) {
-            const auto ref = store_.entryRefFor(*grids[g].program, input);
-            prep[g].traces[i] = ref.trace;
-            prep[g].compiled[i] = ref.compiled;
-            if (collapse) prep[g].classIds[i] = ref.classId;
-          } else if (collapse) {
-            const auto ref = store_.traceRefFor(*grids[g].program, input);
-            prep[g].traces[i] = ref.trace;
-            prep[g].classIds[i] = ref.classId;
-          } else {
-            prep[g].traces[i] = &store_.traceFor(*grids[g].program, input);
-          }
-        },
-        &util_);
-  }
-
-  // Pass 2: ONE tiled walk over the union of every grid's cells.  Workers
-  // fold into per-(worker, grid) accumulators; the smallest-index tie-break
-  // makes the merge below independent of which worker saw which tile, so
-  // values and witnesses equal the grid-by-grid reduceCells results.
-  std::vector<Walk> walks(nGrids);
-  for (std::size_t g = 0; g < nGrids; ++g) {
-    Prepared& p = prep[g];
-    const std::size_t nQ = grids[g].model->numStates();
-    const std::size_t nI = p.traces.size();
-    walks[g] = Walk{grids[g].model, &p.traces, &p.compiled, 0, nQ, {}};
-    if (collapse) {
-      p.groups = groupByClass(p.classIds, 0, nI);
-      for (const auto& members : p.groups) {
-        walks[g].columns.push_back(members.front());
-      }
-      cTraceClasses_->add(p.groups.size());
-      cCellsCollapsed_->add(nQ * (nI - p.groups.size()));
-    } else {
-      walks[g].columns.resize(nI);
-      std::iota(walks[g].columns.begin(), walks[g].columns.end(), 0);
-    }
-  }
-  const int workers = std::max(resolvedThreads(), 1);
-  std::vector<std::vector<core::StreamingMeasures>> accs;
-  accs.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    std::vector<core::StreamingMeasures> mine;
-    mine.reserve(nGrids);
-    for (std::size_t g = 0; g < nGrids; ++g) {
-      mine.emplace_back(walks[g].qEnd, prep[g].traces.size());
-    }
-    accs.push_back(std::move(mine));
-  }
-  runGrid(walks, pReplayBatched_,
-          [&](std::size_t g, std::size_t c, std::size_t q0, const Cycles* t,
-              std::size_t n, int worker) {
-            auto& acc = accs[static_cast<std::size_t>(worker)][g];
-            for (std::size_t k = 0; k < n; ++k) {
-              if (collapse) {
-                // Column c is a trace class: its representative's time
-                // fans out to every member input.
-                const auto& members = prep[g].groups[c];
-                acc.addEqual(q0 + k, members.data(), members.size(), t[k]);
-              } else {
-                acc.add(q0 + k, c, t[k]);
-              }
-            }
-          });
-
-  obs::Span mergeSpan(pMerge_);
-  std::vector<core::StreamingMeasures> out;
-  out.reserve(nGrids);
-  for (std::size_t g = 0; g < nGrids; ++g) {
-    core::StreamingMeasures total = std::move(accs[0][g]);
-    for (int w = 1; w < workers; ++w) {
-      total.merge(accs[static_cast<std::size_t>(w)][g]);
-    }
-    out.push_back(std::move(total));
-  }
-  return out;
-}
-
-void ExperimentEngine::resolveTraces(
-    const isa::Program& program, const std::vector<isa::Input>& inputs,
-    std::size_t iBegin, std::size_t iEnd, bool packed,
-    std::vector<const isa::Trace*>& traces,
-    std::vector<const ReplayProgram*>& compiled,
-    std::vector<std::uint32_t>* classIds) {
-  traces.assign(inputs.size(), nullptr);
-  compiled.assign(packed ? inputs.size() : 0, nullptr);
-  if (classIds != nullptr) classIds->assign(inputs.size(), 0);
-  obs::Span span(pResolve_);
-  WorkerPool::shared().run(
-      iEnd - iBegin, resolvedThreads(),
-      [&](std::size_t k, int) {
-        const std::size_t i = iBegin + k;
-        if (packed) {
-          const auto ref = store_.entryRefFor(program, inputs[i]);
-          traces[i] = ref.trace;
-          compiled[i] = ref.compiled;
-          if (classIds != nullptr) (*classIds)[i] = ref.classId;
-        } else if (classIds != nullptr) {
-          const auto ref = store_.traceRefFor(program, inputs[i]);
-          traces[i] = ref.trace;
-          (*classIds)[i] = ref.classId;
-        } else {
-          traces[i] = &store_.traceFor(program, inputs[i]);
-        }
-      },
-      &util_);
+  return std::move(reduceJobs({Job{&model, &program, &inputs, 0,
+                                   model.numStates(), 0, inputs.size()}},
+                              replayPhase(model))
+                       .front());
 }
 
 core::StreamingMeasures ExperimentEngine::reduceCellsRange(
@@ -479,20 +305,24 @@ core::StreamingMeasures ExperimentEngine::reduceCellsRange(
         "reduceCellsRange: bad input range [" + std::to_string(iBegin) +
         ", " + std::to_string(iEnd) + ") for |I| = " + std::to_string(nI));
   }
-  // Traces resolve for the shard's input range only; the walk itself is
-  // the same reduceImpl body the single-process reduceCells runs, offset
-  // into the sub-rectangle.  Collapse groups within the range but keeps
-  // GLOBAL input indices, so merged shard accumulators still carry the
-  // single-process witnesses byte-for-byte.
-  const bool packed = packedPath(model);
-  const bool collapse = config_.collapseTraceClasses;
-  std::vector<const isa::Trace*> traces;
-  std::vector<const ReplayProgram*> compiled;
-  std::vector<std::uint32_t> classIds;
-  resolveTraces(program, inputs, iBegin, iEnd, packed, traces, compiled,
-                collapse ? &classIds : nullptr);
-  return reduceImpl(model, traces, compiled, collapse ? &classIds : nullptr,
-                    qBegin, qEnd, iBegin, iEnd);
+  // Traces resolve for the shard's input range only; collapse groups within
+  // the range but keeps GLOBAL input indices, so merged shard accumulators
+  // still carry the single-process witnesses byte-for-byte.
+  return std::move(
+      reduceJobs({Job{&model, &program, &inputs, qBegin, qEnd, iBegin, iEnd}},
+                 replayPhase(model))
+          .front());
+}
+
+std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
+    const std::vector<GridSpec>& grids) {
+  std::vector<Job> jobs;
+  jobs.reserve(grids.size());
+  for (const GridSpec& g : grids) {
+    jobs.push_back(Job{g.model, g.program, g.inputs, 0, g.model->numStates(),
+                       0, g.inputs->size()});
+  }
+  return reduceJobs(jobs, pReplayBatched_);
 }
 
 core::StreamingMeasures ExperimentEngine::mergeShards(
@@ -503,20 +333,6 @@ core::StreamingMeasures ExperimentEngine::mergeShards(
   core::StreamingMeasures total = std::move(shards.front());
   for (std::size_t s = 1; s < shards.size(); ++s) total.merge(shards[s]);
   return total;
-}
-
-core::StreamingMeasures ExperimentEngine::reduceCells(
-    const TimingModel& model, const isa::Program& program,
-    const std::vector<isa::Input>& inputs) {
-  const bool packed = packedPath(model);
-  const bool collapse = config_.collapseTraceClasses;
-  std::vector<const isa::Trace*> traces;
-  std::vector<const ReplayProgram*> compiled;
-  std::vector<std::uint32_t> classIds;
-  resolveTraces(program, inputs, 0, inputs.size(), packed, traces, compiled,
-                collapse ? &classIds : nullptr);
-  return reduceImpl(model, traces, compiled, collapse ? &classIds : nullptr,
-                    0, model.numStates(), 0, inputs.size());
 }
 
 }  // namespace pred::exp

@@ -11,16 +11,19 @@
 // parallel result is bit-identical to the serial one for any thread count
 // or tile shape — the property the engine tests assert cell-for-cell.
 //
-// Three output shapes share that loop:
-//   computeMatrix    materializes the dense |Q|×|I| TimingMatrix;
-//   reduceCells      folds each cell straight into StreamingMeasures
-//                    (per-tile, merged deterministically), so exhaustive
-//                    queries that don't keep matrices never allocate |Q|×|I|;
-//   reduceCellsBatch folds MANY grids in one walk — the tiles of every
-//                    grid form a single work list, so a scenario sweep of
-//                    small grids stops paying a pool barrier per query.
+// One streaming reducer serves every exhaustive reduction: it takes a batch
+// of jobs — each a model, its workload and a rectangle [qBegin, qEnd) x
+// [iBegin, iEnd) of that model's full grid — resolves every job's traces in
+// one pool pass, walks every job's tiles in one grid walk, and folds each
+// job's cells straight into its own StreamingMeasures (per worker, merged
+// deterministically), so exhaustive queries that don't keep matrices never
+// allocate |Q|×|I|.  reduceCells is the one-job whole grid,
+// reduceCellsRange one shard's rectangle, and reduceCellsBatch a scenario
+// sweep's many whole grids, which thereby stop paying a pool barrier per
+// query.  computeMatrix shares the resolve pass and the walk, with the
+// dense |Q|×|I| TimingMatrix as the sink instead of the accumulators.
 //
-// One tile walker (runGrid) serves all three.  It hands each tile to the
+// One tile walker (runGrid) serves both sinks.  It hands each tile to the
 // model as columns — one input (or trace class) × the tile's state range —
 // through TimingModel::timePackedStates, so a model that shares work
 // across the states of a column (the in-order per-set replay) shares it
@@ -94,11 +97,6 @@ class ExperimentEngine {
  public:
   explicit ExperimentEngine(EngineConfig config = {});
 
-  /// T over Q x I for pre-computed traces (I given as trace pointers).
-  core::TimingMatrix computeMatrix(
-      const TimingModel& model,
-      const std::vector<const isa::Trace*>& traces) const;
-
   /// T over Q x I for a program and input set; functional traces (and their
   /// compiled replay forms) come from the engine's memoizing TraceStore.
   core::TimingMatrix computeMatrix(const TimingModel& model,
@@ -110,9 +108,6 @@ class ExperimentEngine {
   /// evaluator, deterministic for any thread count; results (values AND
   /// witnesses) are bit-identical to running the core:: evaluators over
   /// computeMatrix's output.
-  core::StreamingMeasures reduceCells(
-      const TimingModel& model,
-      const std::vector<const isa::Trace*>& traces) const;
   core::StreamingMeasures reduceCells(const TimingModel& model,
                                       const isa::Program& program,
                                       const std::vector<isa::Input>& inputs);
@@ -196,15 +191,33 @@ class ExperimentEngine {
   obs::RunReport report() const;
 
  private:
-  /// One rectangle of a tiled walk: a model, the resolved forms of its
-  /// grid's traces (globally indexed), a state range, and per walked
-  /// column the input that is timed — a trace class's representative, or
-  /// the input itself.
+  /// One job of a streaming reduction: a model, its workload, and the
+  /// half-open rectangle [qBegin, qEnd) x [iBegin, iEnd) of the model's
+  /// full grid that it covers.  The pointed-to objects must outlive the
+  /// call.
+  struct Job {
+    const TimingModel* model;
+    const isa::Program* program;
+    const std::vector<isa::Input>* inputs;
+    std::size_t qBegin, qEnd, iBegin, iEnd;
+  };
+
+  /// The resolved forms of one job's inputs, globally indexed (size
+  /// inputs.size(); entries outside [iBegin, iEnd) stay null).
+  struct Resolved {
+    std::vector<const isa::Trace*> traces;
+    /// Empty selects the interpreted time(q, trace) path.
+    std::vector<const ReplayProgram*> compiled;
+    /// Trace-equivalence class ids; empty unless the resolve asked for them.
+    std::vector<std::uint32_t> classIds;
+  };
+
+  /// One rectangle of a tiled walk: a model, its job's resolved inputs, a
+  /// state range, and per walked column the input that is timed — a trace
+  /// class's representative, or the input itself.
   struct Walk {
     const TimingModel* model = nullptr;
-    const std::vector<const isa::Trace*>* traces = nullptr;
-    /// Empty selects the interpreted time(q, trace) path.
-    const std::vector<const ReplayProgram*>* compiled = nullptr;
+    const Resolved* resolved = nullptr;
     std::size_t qBegin = 0;
     std::size_t qEnd = 0;
     std::vector<std::size_t> columns;
@@ -228,42 +241,26 @@ class ExperimentEngine {
   void runGrid(const std::vector<Walk>& walks, obs::PhaseAccum* phase,
                const ColumnSink& sink) const;
 
-  core::TimingMatrix matrixImpl(const TimingModel& model,
-                                const std::vector<const isa::Trace*>& traces,
-                                const std::vector<const ReplayProgram*>&
-                                    compiled) const;
-  /// The one streaming walk both reduceCells (full ranges) and
-  /// reduceCellsRange (a shard's sub-rectangle) delegate to, so the
-  /// shard-vs-single bit-identity contract rests on a single body.  The
-  /// accumulator always has the full (numStates x traces.size()) shape.
-  /// `classIds` (globally indexed, covering at least [iBegin, iEnd)) turns
-  /// on trace-class collapse: the walk spans |Q| x |classes-in-range| and
-  /// each class result fans out to its member inputs — pass nullptr for the
-  /// one-cell-per-input walk.  Witnesses use GLOBAL input indices either
-  /// way, so shard merges stay byte-exact.
-  core::StreamingMeasures reduceImpl(
-      const TimingModel& model, const std::vector<const isa::Trace*>& traces,
-      const std::vector<const ReplayProgram*>& compiled,
-      const std::vector<std::uint32_t>* classIds, std::size_t qBegin,
-      std::size_t qEnd, std::size_t iBegin, std::size_t iEnd) const;
+  /// THE resolve pass: one pool pass over the input range of every job
+  /// resolves (and memoizes) each input's trace — plus its compiled form
+  /// when the job's model takes the packed path, and its class id when
+  /// `classes` is set — with one store lookup per (job, input).
+  std::vector<Resolved> resolve(const std::vector<Job>& jobs, bool classes);
 
-  /// Resolves (and memoizes) traces — and compiled forms when `packed` —
-  /// for inputs [iBegin, iEnd) on the worker pool.  Vectors are globally
-  /// indexed (size inputs.size(); entries outside the range stay null).
-  /// `classIds` (optional) additionally receives each input's
-  /// trace-equivalence class id from the store.
-  void resolveTraces(const isa::Program& program,
-                     const std::vector<isa::Input>& inputs, std::size_t
-                         iBegin,
-                     std::size_t iEnd, bool packed,
-                     std::vector<const isa::Trace*>& traces,
-                     std::vector<const ReplayProgram*>& compiled,
-                     std::vector<std::uint32_t>* classIds = nullptr);
+  /// THE streaming reducer behind reduceCells, reduceCellsRange and
+  /// reduceCellsBatch, so the shard-vs-single and batch-vs-sequential
+  /// bit-identity contracts rest on a single body.  Each job's accumulator
+  /// has its model's full (numStates x inputs) shape with only the
+  /// rectangle's cells fed.  With EngineConfig::collapseTraceClasses a
+  /// job's walk spans |Q| x |classes-in-range| and each class result fans
+  /// out to its member inputs.  Witnesses use GLOBAL input indices either
+  /// way, so shard merges stay byte-exact.  The walk's wall time goes into
+  /// `phase`.
+  std::vector<core::StreamingMeasures> reduceJobs(const std::vector<Job>& jobs,
+                                                  obs::PhaseAccum* phase);
 
-  /// Compiles traces locally for the trace-pointer entry points (the
-  /// program/inputs entry points reuse the store's cached compiled forms).
-  std::vector<ReplayProgram> compileLocal(
-      const std::vector<const isa::Trace*>& traces) const;
+  /// The replay phase a walk over `model` alone is timed under.
+  obs::PhaseAccum* replayPhase(const TimingModel& model) const;
 
   bool packedPath(const TimingModel& model) const;
 

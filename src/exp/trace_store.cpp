@@ -182,29 +182,11 @@ const isa::Trace& TraceStore::traceFor(const isa::Program& program,
   return classOf(program, input).trace;
 }
 
-TraceStore::TraceRef TraceStore::traceRefFor(const isa::Program& program,
-                                             const isa::Input& input) {
-  const TraceClass& cls = classOf(program, input);
-  return TraceRef{&cls.trace, cls.id};
-}
-
 TraceStore::EntryRef TraceStore::entryRefFor(const isa::Program& program,
-                                             const isa::Input& input) {
+                                             const isa::Input& input,
+                                             bool compile) {
   TraceClass& cls = classOf(program, input);
-  return EntryRef{&cls.trace, &compiledOf(cls), cls.id};
-}
-
-const ReplayProgram& TraceStore::compiledFor(const isa::Program& program,
-                                             const isa::Input& input) {
-  return *entryRefFor(program, input).compiled;
-}
-
-std::vector<const isa::Trace*> TraceStore::tracesFor(
-    const isa::Program& program, const std::vector<isa::Input>& inputs) {
-  std::vector<const isa::Trace*> out;
-  out.reserve(inputs.size());
-  for (const auto& in : inputs) out.push_back(&traceFor(program, in));
-  return out;
+  return EntryRef{&cls.trace, compile ? &compiledOf(cls) : nullptr, cls.id};
 }
 
 std::size_t TraceStore::size() const {

@@ -71,9 +71,7 @@ std::uint64_t programFingerprint(const isa::Program& program);
 /// mixed a word at a time.  Each mixing step is a bijection of the hash
 /// state, so two traces of equal length that differ in exactly one packed
 /// word always hash differently.  Equal traces always hash equal; the class
-/// machinery below never trusts the converse.  Exposed for tests and
-/// for callers that group externally-computed traces (the engine's
-/// trace-pointer entry points).
+/// machinery below never trusts the converse.  Exposed for tests.
 std::uint64_t traceFingerprint(const isa::Trace& trace);
 
 /// Exact record-for-record equality of two traces — the relation that
@@ -92,34 +90,19 @@ class TraceStore {
   const isa::Trace& traceFor(const isa::Program& program,
                              const isa::Input& input);
 
-  /// The compiled replay form of the same trace, lowered on first use of
-  /// its class and shared by every member input (computes the trace too
-  /// when missing).
-  const ReplayProgram& compiledFor(const isa::Program& program,
-                                   const isa::Input& input);
-
-  /// Both forms plus the trace-equivalence class id with a single lookup
-  /// (and a single hit/miss count) — what the engine's packed path uses per
-  /// input.
+  /// The trace, its compiled replay form and its trace-equivalence class
+  /// id with a single lookup (and a single hit/miss count) — what the
+  /// engine's resolve pass uses per input.  `compile` lowers the class's
+  /// ReplayProgram on its first compiling lookup (shared by every member
+  /// input); without it `compiled` is null, so the interpreted path, where
+  /// lowering would be pure waste, still gets the class id.
   struct EntryRef {
     const isa::Trace* trace;
     const ReplayProgram* compiled;
     std::uint32_t classId;
   };
-  EntryRef entryRefFor(const isa::Program& program, const isa::Input& input);
-
-  /// Trace plus class id without forcing the compiled form — the engine's
-  /// interpreted path (where lowering would be pure waste) still gets to
-  /// collapse classes.
-  struct TraceRef {
-    const isa::Trace* trace;
-    std::uint32_t classId;
-  };
-  TraceRef traceRefFor(const isa::Program& program, const isa::Input& input);
-
-  /// Traces for a whole input set, in order.
-  std::vector<const isa::Trace*> tracesFor(
-      const isa::Program& program, const std::vector<isa::Input>& inputs);
+  EntryRef entryRefFor(const isa::Program& program, const isa::Input& input,
+                       bool compile);
 
   /// Keys (distinct (program, input) pairs) memoized so far.
   std::size_t size() const;

@@ -122,10 +122,15 @@ TEST(TraceStore, ComputesEachInputOnceAndReturnsStablePointers) {
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 6);
   TraceStore store;
-  const auto first = store.tracesFor(prog, inputs);
+  const auto tracesFor = [&] {
+    std::vector<const isa::Trace*> out;
+    for (const auto& in : inputs) out.push_back(&store.traceFor(prog, in));
+    return out;
+  };
+  const auto first = tracesFor();
   EXPECT_EQ(store.misses(), 6u);
   EXPECT_EQ(store.size(), 6u);
-  const auto second = store.tracesFor(prog, inputs);
+  const auto second = tracesFor();
   EXPECT_EQ(store.misses(), 6u);  // no recomputation
   EXPECT_EQ(store.hits(), 6u);
   EXPECT_EQ(first, second);  // identical pointers
@@ -223,13 +228,13 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   // Three trace-equal flavors of input 0: the input itself, a renamed exact
   // copy (same store key), and a copy with one never-read scratch word
   // (distinct store key, identical trace).
-  const auto ref0 = store.traceRefFor(prog, inputs[0]);
+  const auto ref0 = store.entryRefFor(prog, inputs[0], false);
   isa::Input renamed = inputs[0];
   renamed.name = "renamed";
-  const auto refRenamed = store.traceRefFor(prog, renamed);
+  const auto refRenamed = store.entryRefFor(prog, renamed, false);
   isa::Input scratch = inputs[0];
   scratch.mem[prog.layout.memWords - 1] = 42;
-  const auto refScratch = store.traceRefFor(prog, scratch);
+  const auto refScratch = store.entryRefFor(prog, scratch, false);
 
   EXPECT_EQ(ref0.classId, refRenamed.classId);
   EXPECT_EQ(ref0.trace, refRenamed.trace);  // same entry entirely
@@ -240,23 +245,25 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
 
   // An input whose trace certainly differs (the key lands in slot 0, so
   // the very first comparison ends the scan) gets its own class;
-  // entryRefFor and traceRefFor agree on ids.
+  // compiling and non-compiling lookups agree on ids.
   isa::Input found = inputs[0];
   found.mem[prog.variables.at("a")] = 3;
   found.name = "found-at-0";
-  const auto ref1 = store.entryRefFor(prog, found);
+  const auto ref1 = store.entryRefFor(prog, found, true);
   EXPECT_NE(ref1.classId, ref0.classId);
-  EXPECT_EQ(store.traceRefFor(prog, found).classId, ref1.classId);
+  EXPECT_EQ(store.entryRefFor(prog, found, false).classId, ref1.classId);
 
   EXPECT_EQ(store.size(), 3u);        // input0, scratch, found
   EXPECT_EQ(store.classCount(), 2u);  // {input0, scratch}, {found}
-  EXPECT_EQ(store.compiles(), 1u);    // only entryRefFor lowers
+  EXPECT_EQ(store.compiles(), 1u);    // only a compiling lookup lowers
+  EXPECT_EQ(ref0.compiled, nullptr);
+  EXPECT_NE(ref1.compiled, nullptr);
 
   // clear() resets the class numbering along with the entries.
   store.clear();
   EXPECT_EQ(store.classCount(), 0u);
   EXPECT_EQ(store.compiles(), 0u);
-  EXPECT_EQ(store.traceRefFor(prog, found).classId, 0u);
+  EXPECT_EQ(store.entryRefFor(prog, found, false).classId, 0u);
 }
 
 /// A three-record trace whose middle record sets every ExecRecord field to
@@ -377,7 +384,7 @@ TEST(TraceStore, CompilesEachClassOnceAndSharesItAcrossMembers) {
   TraceStore& store = engine.traceStore();
   std::map<std::uint32_t, TraceStore::EntryRef> firstOfClass;
   for (const auto& in : w.inputs) {
-    const auto ref = store.entryRefFor(w.program, in);
+    const auto ref = store.entryRefFor(w.program, in, true);
     const auto [it, fresh] = firstOfClass.try_emplace(ref.classId, ref);
     if (!fresh) {
       EXPECT_EQ(ref.compiled, it->second.compiled);
@@ -411,7 +418,7 @@ TEST(TraceStore, ConcurrentFillCompilesEachClassOnce) {
   // lowering each, whoever loses each race.
   TraceStore store;
   WorkerPool::shared().run(w.inputs.size() * 3, 4, [&](std::size_t k, int) {
-    store.entryRefFor(w.program, w.inputs[k % w.inputs.size()]);
+    store.entryRefFor(w.program, w.inputs[k % w.inputs.size()], true);
   });
   EXPECT_EQ(store.size(), 48u);
   EXPECT_EQ(store.classCount(), 16u);

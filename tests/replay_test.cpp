@@ -240,8 +240,9 @@ TEST(PackedReplay, BitIdenticalForMruSnapshotModel) {
   exp::ExperimentEngine engine;
   exp::TraceStore store;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto& trace = store.traceFor(prog, inputs[i]);
-    const auto& rp = store.compiledFor(prog, inputs[i]);
+    const auto ref = store.entryRefFor(prog, inputs[i], true);
+    const auto& trace = *ref.trace;
+    const auto& rp = *ref.compiled;
     for (std::size_t q = 0; q < model.numStates(); ++q) {
       EXPECT_EQ(model.time(q, trace), model.timePacked(q, rp))
           << "q=" << q << " i=" << i;
@@ -412,10 +413,11 @@ TEST(TraceStore, CachesCompiledFormNextToTrace) {
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 4);
   exp::TraceStore store;
-  const auto& rp1 = store.compiledFor(prog, inputs[0]);
-  const auto& rp2 = store.compiledFor(prog, inputs[0]);
+  const auto& rp1 = *store.entryRefFor(prog, inputs[0], true).compiled;
+  const auto& rp2 = *store.entryRefFor(prog, inputs[0], true).compiled;
   EXPECT_EQ(&rp1, &rp2);  // lowered once, stable pointer
-  const auto ref = store.entryRefFor(prog, inputs[0]);
+  EXPECT_EQ(store.compiles(), 1u);
+  const auto ref = store.entryRefFor(prog, inputs[0], true);
   EXPECT_EQ(ref.compiled, &rp1);
   EXPECT_EQ(ref.trace, &store.traceFor(prog, inputs[0]));
 
@@ -433,7 +435,7 @@ TEST(TraceStore, ShardedFillFromManyThreadsCountsExactly) {
   const auto inputs = testInputs(prog, 24);
   exp::TraceStore store;
   exp::WorkerPool::shared().run(inputs.size() * 3, 8, [&](std::size_t k, int) {
-    store.entryRefFor(prog, inputs[k % inputs.size()]);
+    store.entryRefFor(prog, inputs[k % inputs.size()], true);
   });
   EXPECT_EQ(store.size(), inputs.size());
   EXPECT_EQ(store.misses(), inputs.size());

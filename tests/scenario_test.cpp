@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "study/scenario.h"
 #include "witness_expect.h"
@@ -216,16 +217,43 @@ ScenarioSuite tiedSuite() {
 }
 
 TEST(ScenarioSuite, BatchedRunMatchesSequentialOnTiedGrids) {
+  // Every reducer configuration: packed and interpreted replay, collapsed
+  // and one-cell-per-input walks.
   const auto suite = tiedSuite();
-  for (const int threads : {1, 2, 4, 8}) {
-    exp::EngineConfig cfg{threads, 2, 3};
-    exp::ExperimentEngine batched(cfg);
-    exp::ExperimentEngine sequential(cfg);
-    const auto rb = suite.run(batched);
-    const auto rs = suite.runSequential(sequential);
-    ASSERT_EQ(rb.size(), rs.size()) << "threads=" << threads;
-    for (std::size_t k = 0; k < rb.size(); ++k) {
-      expectSameFinding(rb[k], rs[k]);
+  const auto counter = [](const exp::ExperimentEngine& e, const char* name) {
+    return e.metrics().counter(name).value();
+  };
+  for (const bool packed : {true, false}) {
+    for (const bool collapse : {true, false}) {
+      for (const int threads : {1, 2, 4, 8}) {
+        exp::EngineConfig cfg{threads, 2, 3};
+        cfg.usePackedReplay = packed;
+        cfg.collapseTraceClasses = collapse;
+        const std::string where = "packed=" + std::to_string(packed) +
+                                  " collapse=" + std::to_string(collapse) +
+                                  " threads=" + std::to_string(threads);
+        exp::ExperimentEngine batched(cfg);
+        exp::ExperimentEngine sequential(cfg);
+        const auto rb = suite.run(batched);
+        const auto rs = suite.runSequential(sequential);
+        ASSERT_EQ(rb.size(), rs.size()) << where;
+        for (std::size_t k = 0; k < rb.size(); ++k) {
+          SCOPED_TRACE(where);
+          expectSameFinding(rb[k], rs[k]);
+        }
+        // The batch walks each grid's classes exactly as the per-query
+        // runs do, in one walk instead of one per query.
+        for (const char* name :
+             {"engine.trace_classes", "engine.cells_collapsed"}) {
+          EXPECT_EQ(counter(batched, name), counter(sequential, name))
+              << name << " " << where;
+        }
+        if (collapse) {
+          EXPECT_GT(counter(batched, "engine.cells_collapsed"), 0u) << where;
+        }
+        EXPECT_EQ(batched.gridWalks(), 1u) << where;
+        EXPECT_EQ(sequential.gridWalks(), suite.numScenarios()) << where;
+      }
     }
   }
 }

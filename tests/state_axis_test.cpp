@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "branch/dynamic.h"
+#include "cache/mustmay.h"
+#include "cache/packed.h"
 #include "cache/set_assoc.h"
 #include "core/measures.h"
 #include "exp/engine.h"
@@ -74,15 +76,8 @@ std::vector<isa::Trace> bubbleTraces(int howMany, std::uint64_t seed) {
   return out;
 }
 
-/// A hand-built trace of loads and stores whose word addresses include
-/// negative ones.  On the 4-word x 8-set geometry each negative address
-/// maps to set 0 through the division path of PackedCacheSim::locate
-/// (lines 0, -8 and -16), where it contends with the non-negative lines 0,
-/// 8 and 16, and sets 1..7 see ordinary traffic.
-isa::Trace negativeAddressTrace() {
-  const std::vector<std::int64_t> addrs = {
-      -1, 0, -3, 32, -32, -35, 64, -64, -2, 5, -67, 33, -33, 12, -1, 0,
-      64, 36, -64, -32, 17, 29, -34, 3};
+/// A hand-built trace of loads and stores at the given word addresses.
+isa::Trace dataTrace(const std::vector<std::int64_t>& addrs) {
   isa::Trace trace;
   for (std::size_t k = 0; k < addrs.size(); ++k) {
     isa::ExecRecord rec;
@@ -93,6 +88,15 @@ isa::Trace negativeAddressTrace() {
     trace.push_back(rec);
   }
   return trace;
+}
+
+/// A data trace whose word addresses include negative ones.  On the 4-word
+/// x 8-set geometry the negative addresses floor to lines -1, -9 and -17
+/// (set 7) and -8 and -16 (set 0), where they contend with the
+/// non-negative lines 7, 0, 8 and 16; sets 1..6 see ordinary traffic.
+isa::Trace negativeAddressTrace() {
+  return dataTrace({-1, 0, -3, 32, -32, -35, 64, -64, -2, 5, -67, 33, -33,
+                    12, -1, 0, 64, 36, -64, -32, 17, 29, -34, 3});
 }
 
 /// Every band of a partition of [0, nQ) into pieces of `width` states.
@@ -214,13 +218,81 @@ TEST(ColumnReplay, StatesDifferingOnlyInPolicyMetaStayApart) {
 }
 
 TEST(ColumnReplay, NegativeDataAddressesTakeTheDivisionPath) {
+  // The power-of-two geometry maps by shift and mask, the 3-word x 6-set
+  // one by CacheGeometry's floor division and Euclidean modulo.
   const std::vector<isa::Trace> traces = {negativeAddressTrace()};
-  for (const auto policy : kAllPolicies) {
-    const auto model =
-        snapshotModel(policy, cache::CacheGeometry{4, 8, 2}, 10, false,
-                      false);
-    expectColumnsMatch(*model, traces,
-                       cache::toString(policy) + "/negative");
+  for (const auto& geom :
+       {cache::CacheGeometry{4, 8, 2}, cache::CacheGeometry{3, 6, 2}}) {
+    for (const auto policy : kAllPolicies) {
+      const auto model = snapshotModel(policy, geom, 10, false, false);
+      expectColumnsMatch(*model, traces,
+                         cache::toString(policy) + "/negative/" +
+                             std::to_string(geom.lineWords) + "x" +
+                             std::to_string(geom.numSets));
+    }
+  }
+}
+
+TEST(ColumnReplay, NegativeAddressesMapToFloorLinesAndInRangeSets) {
+  // Word -4 on 4-word lines over 8 sets is line -1, set 7; truncating
+  // division used to give set -1, an out-of-bounds index.
+  const cache::CacheGeometry pow2{4, 8, 2};
+  EXPECT_EQ(pow2.lineOf(-4), -1);
+  EXPECT_EQ(pow2.lineOf(-1), -1);
+  EXPECT_EQ(pow2.lineOf(-33), -9);
+  EXPECT_EQ(pow2.lineOf(-5), -2);
+  EXPECT_EQ(pow2.lineOf(7), 1);
+  for (const std::int64_t a : {-4, -1, -33}) EXPECT_EQ(pow2.setOf(a), 7);
+  const cache::CacheGeometry odd{3, 6, 2};
+  EXPECT_EQ(odd.lineOf(-4), -2);
+  EXPECT_EQ(odd.setOf(-4), 4);
+  EXPECT_EQ(odd.lineOf(-1), -1);
+  EXPECT_EQ(odd.setOf(-1), 5);
+  EXPECT_EQ(odd.lineOf(-33), -11);
+  EXPECT_EQ(odd.setOf(-33), 1);
+
+  const std::vector<std::int64_t> addrs = {-4, 28, -1, 60, -33, -4, 3,
+                                           -36, -1, 124, -33, -2};
+  const isa::Trace trace = dataTrace(addrs);
+  const cache::CacheTiming timing{1, 10};
+  for (const auto& geom : {pow2, odd}) {
+    for (const auto policy : kAllPolicies) {
+      const std::string label = cache::toString(policy) + "/" +
+                                std::to_string(geom.lineWords) + "x" +
+                                std::to_string(geom.numSets);
+      // Words -4 and -1 share line -1, so the second access hits.
+      cache::SetAssocCache fresh(geom, policy, timing, 3);
+      EXPECT_FALSE(fresh.access(-4).hit) << label;
+      EXPECT_EQ(fresh.access(-1).hit, geom.lineOf(-1) == geom.lineOf(-4))
+          << label;
+
+      // SetAssocCache and PackedCacheSim agree access for access, and the
+      // sim's shift-and-mask mapping equals the geometry's.
+      cache::SetAssocCache ref(geom, policy, timing, 3);
+      cache::PackedCacheSim sim;
+      sim.load(ref.pack());
+      cache::AbstractCache must(geom);
+      for (const std::int64_t a : addrs) {
+        const auto slot = sim.locate(a);
+        EXPECT_EQ(slot.line, geom.lineOf(a)) << label << " addr " << a;
+        EXPECT_EQ(slot.set, static_cast<std::size_t>(geom.setOf(a)))
+            << label << " addr " << a;
+        const auto want = ref.access(a);
+        const auto got = sim.access(a);
+        EXPECT_EQ(got.hit, want.hit) << label << " addr " << a;
+        EXPECT_EQ(got.latency, want.latency) << label << " addr " << a;
+        EXPECT_TRUE(ref.contains(a)) << label << " addr " << a;
+        must.accessExact(a);
+        EXPECT_TRUE(must.mustContain(a)) << label << " addr " << a;
+      }
+      must.accessRange(-40, -1);
+      EXPECT_EQ(ref.hits(), sim.hits()) << label;
+
+      // The engine's column replay over these states matches per-state
+      // time for every band.
+      const auto model = snapshotModel(policy, geom, 10, false, false);
+      expectColumnsMatch(*model, {trace}, label);
+    }
   }
 }
 
